@@ -369,7 +369,8 @@ Server::recoverJournal()
 int
 Server::run()
 {
-    boot();
+    if (!booted_)
+        boot();
     while (!stopRequested())
         step(20);
     return drain();
@@ -385,12 +386,19 @@ Server::step(int timeoutMs)
     harvest();
     maybeExportMetrics(false);
 
+    // One wait for everything that can need the loop: the listening
+    // socket, the client connections, and the live workers' heartbeat
+    // pipes, polled for their hang-up alone (a worker's exit; beats
+    // are drained by the pool's own sweeps). The timeout bounds only
+    // what no fd announces: heartbeat and deadline checks, retry
+    // backoff, the metrics export cadence and the stop flag.
     std::vector<pollfd> fds;
     fds.push_back({listenFd_, POLLIN, 0});
     for (const Connection &c : conns_)
         fds.push_back({c.fd, POLLIN, 0});
-    // Bounded wait: pool supervision and signal checks stay live even
-    // when no socket stirs.
+    const size_t firstWorker = fds.size();
+    for (const int fd : pool_.wakeFds())
+        fds.push_back({fd, 0, 0});
     const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                          timeoutMs);
     if (n <= 0)
@@ -405,6 +413,15 @@ Server::step(int timeoutMs)
             closeClient(i);
         else if (ev & POLLIN)
             readClient(i);
+    }
+    // A worker exited: reap, harvest, publish and answer in this same
+    // wake-up.
+    for (size_t i = firstWorker; i < fds.size(); ++i) {
+        if (fds[i].revents) {
+            pool_.poll(0);
+            harvest();
+            break;
+        }
     }
     if (fds[0].revents & POLLIN)
         acceptClient();
@@ -824,13 +841,17 @@ Server::answerWaiters(Job &job, const std::string &payload)
 {
     // A shared payload (error / shutting-down) for every waiter; ok
     // responses are built per waiter in harvest() so each echoes its
-    // own request id.
-    for (const auto &[fd, id] : job.waiters) {
+    // own request id. Detach the list first: a failed write closes
+    // that client, and closeClient() erases its entries from every
+    // job's waiters, which would skip the next waiter and repeat the
+    // last one if we were iterating them in place.
+    std::vector<std::pair<int, std::string>> waiters;
+    waiters.swap(job.waiters);
+    for (const auto &[fd, id] : waiters) {
         (void)id;
         if (connected(fd))
             respond(fd, payload);
     }
-    job.waiters.clear();
 }
 
 void

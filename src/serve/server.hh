@@ -97,14 +97,17 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Boot (takeover, sweep, journal recovery), then serve until a
-     * stop is requested (util/shutdown.hh). Returns the process exit
-     * code: kGracefulExitCode after a clean drain.
+     * Boot (takeover, sweep, journal recovery) unless step() already
+     * did, then serve until a stop is requested (util/shutdown.hh).
+     * Returns the process exit code: kGracefulExitCode after a clean
+     * drain.
      */
     int run();
 
     /** One event-loop iteration (exposed for tests driving the loop
-     *  manually; run() is this in a loop). */
+     *  manually; run() is this in a loop). Waits up to `timeoutMs`
+     *  for a client, a new connection or a worker to stir; a worker
+     *  exit is reaped and answered in the same call. */
     void step(int timeoutMs);
 
     const std::string &socketPath() const { return opts_.socketPath; }

@@ -151,6 +151,18 @@ ProcPool::inFlight() const
     return jobs_.size();
 }
 
+std::vector<int>
+ProcPool::wakeFds() const
+{
+    std::vector<int> fds;
+    fds.reserve(active_.size());
+    for (const Active &a : active_) {
+        if (a.hungUp == Clock::time_point{})
+            fds.push_back(a.pipeRd);
+    }
+    return fds;
+}
+
 std::vector<std::pair<uint64_t, ProcJobOutcome>>
 ProcPool::takeCompleted()
 {
@@ -286,7 +298,7 @@ ProcPool::spawn(uint64_t ticket)
             .add("attempt", outcomes_.at(ticket).attempts + 1);
     });
     const auto now = Clock::now();
-    active_.push_back({ticket, pid, pipe_fds[0], now, now, {}});
+    active_.push_back({ticket, pid, pipe_fds[0], now, now, {}, {}});
 }
 
 // Record one finished attempt: timing + exit detail for the
@@ -412,32 +424,40 @@ ProcPool::poll(int timeoutMs)
     }
 
     // Wait for beats / exits; the timeout bounds hang-detection and
-    // backoff latency without measurable supervisor CPU.
+    // backoff latency without measurable supervisor CPU. A pipe that
+    // has hung up stays readable for good, so it leaves the set.
     if (!active_.empty()) {
         std::vector<pollfd> fds;
-        fds.reserve(active_.size());
-        for (const Active &a : active_)
-            fds.push_back({a.pipeRd, POLLIN, 0});
+        std::vector<size_t> slots;
+        for (size_t i = 0; i < active_.size(); ++i) {
+            if (active_[i].hungUp != Clock::time_point{})
+                continue;
+            fds.push_back({active_[i].pipeRd, POLLIN, 0});
+            slots.push_back(i);
+        }
         ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeoutMs);
         const auto t = Clock::now();
-        for (size_t i = 0; i < active_.size(); ++i) {
-            if (!(fds[i].revents & POLLIN))
+        for (size_t k = 0; k < fds.size(); ++k) {
+            Active &a = active_[slots[k]];
+            // A hang-up is not a beat: a worker that lives on without
+            // its pipe still falls to hang detection.
+            if (fds[k].revents & POLLHUP)
+                a.hungUp = t;
+            if (!(fds[k].revents & POLLIN))
                 continue;
             char buf[256];
             ssize_t n;
-            while ((n = ::read(active_[i].pipeRd, buf,
-                               sizeof(buf))) > 0)
-                active_[i].pipeBuf.append(
-                    buf, static_cast<size_t>(n));
+            while ((n = ::read(a.pipeRd, buf, sizeof(buf))) > 0)
+                a.pipeBuf.append(buf, static_cast<size_t>(n));
             // Pure beat traffic is discarded as it arrives — only a
             // (possibly partial) rollup frame is worth keeping, so a
             // long-lived worker cannot grow the buffer.
-            const size_t frame = active_[i].pipeBuf.find('\x01');
+            const size_t frame = a.pipeBuf.find('\x01');
             if (frame == std::string::npos)
-                active_[i].pipeBuf.clear();
+                a.pipeBuf.clear();
             else if (frame > 0)
-                active_[i].pipeBuf.erase(0, frame);
-            active_[i].lastBeat = t;
+                a.pipeBuf.erase(0, frame);
+            a.lastBeat = t;
         }
     } else if (timeoutMs > 0) {
         // Everyone is backing off; don't spin the caller's loop.
@@ -449,7 +469,18 @@ ProcPool::poll(int timeoutMs)
     const auto t = Clock::now();
     for (size_t i = 0; i < active_.size();) {
         int status = 0;
-        const pid_t r = ::waitpid(active_[i].pid, &status, WNOHANG);
+        pid_t r = ::waitpid(active_[i].pid, &status, WNOHANG);
+        // The kernel closes a dying worker's fds a few microseconds
+        // before it can be reaped: wait out that gap, once, so the
+        // exit a hang-up announced is reaped in this same call. Sleep
+        // rather than yield: on a busy host a yield can hand the CPU
+        // to another process for a whole time slice.
+        const Clock::time_point hup = active_[i].hungUp;
+        while (r == 0 && hup != Clock::time_point{} &&
+               Clock::now() - hup < kExitWindow) {
+            ::usleep(50);
+            r = ::waitpid(active_[i].pid, &status, WNOHANG);
+        }
         if (r == active_[i].pid) {
             handleExit(i, status);
             continue;

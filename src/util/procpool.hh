@@ -139,6 +139,15 @@ struct ProcJobOutcome
  *    the rest of the fleet. Heartbeats, deadlines, retries and
  *    quarantine behave identically in both modes.
  *
+ * An event loop keeps one wait point by adding wakeFds() to its own
+ * poll(2) set: a worker's pipe hangs up when the worker exits, after
+ * its rollup is written, so the loop wakes the moment a job finishes
+ * and hands the reap to poll(0). The xps-serve loop (DESIGN.md §13.1)
+ * wakes on three sources: its listening socket, its client
+ * connections, and these pipes. Its 20 ms timeout then bounds only
+ * what no fd announces: heartbeat and deadline checks, retry backoff,
+ * the metrics export cadence and the stop flag.
+ *
  * The pool is single-threaded: submit/poll/takeCompleted (and run)
  * must be called from one thread, with no live worker std::threads
  * (fork + threads do not mix).
@@ -164,7 +173,9 @@ class ProcPool
      * wait up to `timeoutMs` for heartbeats or exits, reap finished
      * children, kill hangs and blown deadlines, and requeue or
      * quarantine failures. Returns immediately when there is nothing
-     * to supervise. Safe to call with 0 for a non-blocking sweep.
+     * to supervise. Safe to call with 0 for a sweep that does not
+     * block, beyond waiting out a hung-up worker's exit (at most
+     * kExitWindow, once per worker).
      */
     void poll(int timeoutMs);
 
@@ -174,6 +185,17 @@ class ProcPool
 
     /** Workers currently forked and alive. */
     size_t activeWorkers() const { return active_.size(); }
+
+    /**
+     * Read ends of the live workers' heartbeat pipes, for a caller
+     * that waits in its own poll(2). A pipe hangs up when its worker
+     * exits; call poll(0) then, and it reaps the worker (waiting out
+     * the few microseconds before the worker is reapable, at most
+     * kExitWindow). A pipe leaves the set once poll() has seen it
+     * hang up, so a worker that outlives its pipe costs the caller no
+     * spinning and is reaped or killed on the caller's tick.
+     */
+    std::vector<int> wakeFds() const;
 
     /** Collect the outcomes of every job that reached Done or
      *  Quarantined since the last call, as (ticket, outcome) pairs in
@@ -189,6 +211,12 @@ class ProcPool
   private:
     using Clock = std::chrono::steady_clock;
 
+    /** How long poll() waits, once, for a worker whose pipe hung up
+     *  to become reapable (the kernel closes a dying process's fds
+     *  just before it turns it into a zombie). */
+    static constexpr Clock::duration kExitWindow =
+        std::chrono::milliseconds(2);
+
     struct Active
     {
         uint64_t ticket;
@@ -196,6 +224,8 @@ class ProcPool
         int pipeRd;
         Clock::time_point start;
         Clock::time_point lastBeat;
+        /** When poll() first saw the pipe hang up; epoch while open. */
+        Clock::time_point hungUp{};
         /** Bytes read off the heartbeat pipe: beats, then (on a clean
          *  worker exit) the marker-framed metrics rollup payload. */
         std::string pipeBuf;

@@ -19,11 +19,15 @@
  *  - fault matrix: every serve.* catalogue site survives injected
  *    crash/hang/shortwrite/enospc with an explicit error or a
  *    bit-identical result after restart (honors
- *    XPS_FAULT_MATRIX_SEED like tests/fault_matrix_test.cc).
+ *    XPS_FAULT_MATRIX_SEED like tests/fault_matrix_test.cc);
+ *  - event loop: a worker's exit wakes the loop, and drain answers
+ *    every waiter of a queued job exactly once.
  *
  * The daemon runs as a real child process (fork + exec of the built
  * xps-serve), so signals, the pidfile, socket takeover and journal
- * recovery are exercised exactly as in production.
+ * recovery are exercised exactly as in production. The event-loop
+ * tests instead drive an in-process Server with step(), so they
+ * control exactly what each loop iteration sees.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +38,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -44,7 +49,9 @@
 
 #include "obs/json.hh"
 #include "serve/client.hh"
+#include "serve/server.hh"
 #include "util/fault.hh"
+#include "util/metrics.hh"
 #include "util/shutdown.hh"
 
 #ifndef XPS_SERVE_BIN
@@ -401,6 +408,118 @@ TEST(ServeConcurrency, ConcurrentClientsWithMixedOpsAllSucceed)
     d.stopGracefully();
     fs::remove_all(dir);
 }
+
+// --- event loop: an in-process Server driven step by step ------------------
+
+namespace
+{
+
+serve::ServerOptions
+inProcessOptions(const std::string &dir)
+{
+    serve::ServerOptions opts;
+    opts.socketPath = dir + "/s.sock";
+    opts.stateDir = dir;
+    opts.workers = 1;
+    return opts;
+}
+
+/** Clears the process-wide stop flag however the test exits. */
+struct StopFlagReset
+{
+    ~StopFlagReset() { resetStopRequested(); }
+};
+
+} // namespace
+
+// A worker's exit wakes the loop: the answer must not wait for the
+// step's timeout, which is far longer than the job.
+TEST(ServeLoop, WorkerExitIsAnsweredWithoutWaitingOutTheTimeout)
+{
+    const std::string dir = shortTempDir();
+    {
+        serve::Server server(inProcessOptions(dir));
+        server.step(0); // boot: the socket now queues connections
+        serve::Client client;
+        ASSERT_TRUE(client.connect(server.socketPath(), 5.0))
+            << client.error();
+        server.step(5000); // accept
+        ASSERT_TRUE(client.send(kWhatifReq)) << client.error();
+        const auto sent = std::chrono::steady_clock::now();
+        auto waited = [&] {
+            return std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - sent)
+                .count();
+        };
+        std::string resp;
+        bool answered = false;
+        while (!answered && waited() < 30.0) {
+            server.step(5000);
+            answered = client.receive(resp, 0.01);
+        }
+        ASSERT_TRUE(answered) << client.error();
+        EXPECT_EQ(statusOf(resp), "ok") << resp;
+        EXPECT_LT(waited(), 2.0);
+    }
+    fs::remove_all(dir);
+}
+
+// Drain answers every waiter of a queued job exactly once, even when
+// one waiter's client is gone and the write to it fails. The server
+// is stepped first and then run(), which must not boot it again.
+class ServeDrain : public testing::TestWithParam<int>
+{
+};
+
+TEST_P(ServeDrain, EveryRemainingWaiterGetsExactlyOneRetry)
+{
+    const int closed = GetParam(); // index in the job's waiter list
+    const std::string dir = shortTempDir();
+    {
+        StopFlagReset reset;
+        serve::Server server(inProcessOptions(dir));
+        server.step(0); // boot
+        serve::Client clients[3];
+        for (serve::Client &c : clients)
+            ASSERT_TRUE(c.connect(server.socketPath(), 5.0)) << c.error();
+        for (int i = 0; i < 3; ++i)
+            server.step(1000); // one accept per step, in connect order
+        Metrics &metrics = Metrics::global();
+        const uint64_t coalesced0 =
+            metrics.counter("serve.coalesced").get();
+        for (serve::Client &c : clients)
+            ASSERT_TRUE(c.send(kWhatifReq)) << c.error();
+        // One step reads all three requests: one queued job, two
+        // joins. The connection walk runs backwards, so waiter k is
+        // the client accepted (2 - k)th.
+        server.step(1000);
+        ASSERT_EQ(metrics.counter("serve.coalesced").get() - coalesced0,
+                  2u);
+        clients[2 - closed].close();
+
+        requestStop();
+        EXPECT_EQ(server.run(), kGracefulExitCode);
+        for (int k = 0; k < 3; ++k) {
+            if (k == closed)
+                continue;
+            serve::Client &c = clients[2 - k];
+            std::string line;
+            ASSERT_TRUE(c.receive(line, 5.0))
+                << "waiter " << k << ": " << c.error();
+            EXPECT_EQ(statusOf(line), "retry") << line;
+            // Drain closes every connection after answering it.
+            EXPECT_FALSE(c.receive(line, 5.0))
+                << "waiter " << k << " got a second line: " << line;
+        }
+    }
+    fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ClosedWaiter, ServeDrain, testing::Values(0, 1, 2),
+    [](const testing::TestParamInfo<int> &info) {
+        return "W" + std::to_string(info.param);
+    });
 
 // --- admission control: a full queue sheds explicitly ----------------------
 

@@ -2,18 +2,22 @@
  * @file
  * The supervised worker-pool battery (DESIGN.md §9): ProcPool crash /
  * hang / deadline / merge-rejection handling with retry and
- * quarantine, graceful degradation when every job fails, supervised
- * exploration and matrix builds bit-identical to their threaded
- * counterparts, and SIGKILL-the-supervisor + resume.
+ * quarantine, graceful degradation when every job fails, the
+ * heartbeat-pipe fds an event loop waits on, supervised exploration
+ * and matrix builds bit-identical to their threaded counterparts, and
+ * SIGKILL-the-supervisor + resume.
  */
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <csignal>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -342,6 +346,100 @@ TEST(ProcPool, ExportsSupervisionCounters)
               std::string::npos);
     EXPECT_NE(json.find("supervisor.job_retries"), std::string::npos);
     std::filesystem::remove_all(dir);
+}
+
+// An event loop that adds wakeFds() to its own poll(2) learns of a
+// worker's exit from that one wait, and poll(0) then completes the
+// job with the worker's metrics rollup folded in.
+TEST(ProcPool, WakeFdsReportWorkerExitWithinOnePoll)
+{
+    Metrics &metrics = Metrics::global();
+    const uint64_t probes0 = metrics.counter("wake.probe").get();
+    const uint64_t merged0 =
+        metrics.counter("pool.rollups_merged").get();
+    ProcPoolOptions opts = fastPool(1);
+    opts.heartbeatTimeoutSeconds = 30.0;
+    ProcPool pool(opts);
+    ProcJob job;
+    job.name = "wake";
+    job.run = [] {
+        Metrics::global().counter("wake.probe").add(3);
+        return 0;
+    };
+    const uint64_t ticket = pool.submit(job);
+    pool.poll(0); // forks the worker
+    const std::vector<int> wake = pool.wakeFds();
+    ASSERT_EQ(wake.size(), 1u);
+
+    // No events requested: poll(2) returns on the hang-up alone, which
+    // comes with the worker's exit (the rollup written before it stays
+    // queued in the pipe).
+    pollfd pfd = {wake[0], 0, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+    EXPECT_TRUE(pfd.revents & POLLHUP);
+
+    pool.poll(0);
+    const auto done = pool.takeCompleted();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].first, ticket);
+    EXPECT_EQ(done[0].second.status, ProcJobOutcome::Status::Done)
+        << done[0].second.lastError;
+    EXPECT_EQ(metrics.counter("wake.probe").get() - probes0, 3u);
+    EXPECT_EQ(metrics.counter("pool.rollups_merged").get() - merged0, 1u);
+    EXPECT_TRUE(pool.wakeFds().empty());
+}
+
+// A worker that closes its pipe and lives on must not turn the
+// caller's wait into a spin: once the pool has seen the pipe hang up
+// it leaves wakeFds(), and the job still completes on the caller's
+// tick.
+TEST(ProcPool, WorkerOutlivingItsPipeIsNotSpunOn)
+{
+    ProcPoolOptions opts = fastPool(1);
+    opts.heartbeatTimeoutSeconds = 30.0;
+    ProcPool pool(opts);
+    ProcJob job;
+    job.name = "pipeless";
+    job.run = [] {
+        for (int fd = 3; fd < 1024; ++fd)
+            ::close(fd); // the heartbeat pipe included
+        ::usleep(400000);
+        return 0;
+    };
+    pool.submit(job);
+    pool.poll(0);
+
+    auto cpuSeconds = [] {
+        timespec ts = {};
+        ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+        return static_cast<double>(ts.tv_sec) +
+               static_cast<double>(ts.tv_nsec) * 1e-9;
+    };
+    // The loop xps-serve runs: one wait on the pool's fds (for their
+    // hang-up) with a 20 ms timeout, then a supervision sweep.
+    auto loopFor = [&](std::chrono::milliseconds span) {
+        const auto until = std::chrono::steady_clock::now() + span;
+        while (pool.inFlight() > 0 &&
+               std::chrono::steady_clock::now() < until) {
+            std::vector<pollfd> fds;
+            for (const int fd : pool.wakeFds())
+                fds.push_back({fd, 0, 0});
+            ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 20);
+            pool.poll(0);
+        }
+    };
+    const double cpu0 = cpuSeconds();
+    loopFor(std::chrono::milliseconds(150));
+    EXPECT_EQ(pool.activeWorkers(), 1u); // still asleep
+    EXPECT_TRUE(pool.wakeFds().empty());
+    loopFor(std::chrono::seconds(10));
+    // Spinning through the worker's 400 ms would burn about that much
+    // CPU; the loop should sleep on its timeout instead.
+    EXPECT_LT(cpuSeconds() - cpu0, 0.1);
+    const auto done = pool.takeCompleted();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].second.status, ProcJobOutcome::Status::Done)
+        << done[0].second.lastError;
 }
 
 // --- Supervisor façade -----------------------------------------------------
