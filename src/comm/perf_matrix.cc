@@ -1,13 +1,11 @@
 #include "comm/perf_matrix.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "explore/checkpoint.hh"
 #include "explore/supervisor.hh"
@@ -17,6 +15,7 @@
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/parallel.hh"
 #include "util/procpool.hh"
 #include "util/table.hh"
 #include "workload/trace.hh"
@@ -260,36 +259,25 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
         traces.push_back(sharedTrace(p, proto.streamId,
                                      proto.traceOps()));
 
-    std::atomic<size_t> next{0};
-    auto worker = [&]() {
-        for (size_t idx = next.fetch_add(1); idx < n * n;
-             idx = next.fetch_add(1)) {
-            const size_t w = idx / n;
-            const size_t c = idx % n;
-            if (have[w][c])
-                continue;
-            SimOptions opts = proto;
-            opts.trace = traces[w];
-            ipt[w][c] = simulate(suite[w], configs[c], opts).ipt();
-            metrics.counter("perf_matrix.cells_computed").add();
-            if (partial) {
-                // One line per cell, serialized and flushed: a crash
-                // loses at most the torn tail line, which the next
-                // run recomputes.
-                std::lock_guard<std::mutex> lock(partial_mutex);
-                std::fprintf(partial, "cell %zu %zu %s\n", w, c,
-                             formatHexDouble(ipt[w][c]).c_str());
-                std::fflush(partial);
-            }
+    parallelFor(n * n, resolveThreads(threads), [&](size_t idx) {
+        const size_t w = idx / n;
+        const size_t c = idx % n;
+        if (have[w][c])
+            return;
+        SimOptions opts = proto;
+        opts.trace = traces[w];
+        ipt[w][c] = simulate(suite[w], configs[c], opts).ipt();
+        metrics.counter("perf_matrix.cells_computed").add();
+        if (partial) {
+            // One line per cell, serialized and flushed: a crash
+            // loses at most the torn tail line, which the next run
+            // recomputes.
+            std::lock_guard<std::mutex> lock(partial_mutex);
+            std::fprintf(partial, "cell %zu %zu %s\n", w, c,
+                         formatHexDouble(ipt[w][c]).c_str());
+            std::fflush(partial);
         }
-    };
-    std::vector<std::thread> pool;
-    const int nthreads = resolveThreads(threads);
-    pool.reserve(static_cast<size_t>(nthreads));
-    for (int t = 0; t < nthreads; ++t)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
+    });
 
     if (partial) {
         std::fclose(partial);

@@ -127,6 +127,14 @@ class LineReader
         return pos_ >= lines_.size();
     }
 
+    /** Payload lines not yet consumed: an upper bound on any record
+     *  count the rest of the file can honour. */
+    size_t
+    remaining() const
+    {
+        return lines_.size() - pos_;
+    }
+
     /** Next line iff its first token equals `tag` and it carries
      *  exactly `args` further tokens; nullptr otherwise. */
     const std::vector<std::string> *
@@ -278,7 +286,8 @@ parseMemo(LineReader &reader,
 {
     const auto *count_line = reader.expect("memo.count", 1);
     uint64_t count;
-    if (!count_line || !parseU64((*count_line)[1], count))
+    if (!count_line || !parseU64((*count_line)[1], count) ||
+        count > reader.remaining())
         return false;
     out.clear();
     out.reserve(count);
@@ -356,7 +365,7 @@ parseAnnealerState(LineReader &reader, AnnealerState &out)
     if (!line || line->size() < 2)
         return false;
     uint64_t entries;
-    if (!parseU64((*line)[1], entries) ||
+    if (!parseU64((*line)[1], entries) || entries > line->size() ||
         line->size() != 2 + 2 * entries) {
         return false;
     }
@@ -504,7 +513,8 @@ parseSuiteCheckpoint(const std::string &content,
     }
     line = reader.expect("workloads", 1);
     uint64_t workloads;
-    if (!line || !parseU64((*line)[1], workloads))
+    if (!line || !parseU64((*line)[1], workloads) ||
+        workloads > reader.remaining())
         return false;
     ckpt.workloads.reserve(workloads);
     for (uint64_t i = 0; i < workloads; ++i) {

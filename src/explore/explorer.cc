@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -19,6 +18,7 @@
 #include "util/kmeans.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/parallel.hh"
 #include "util/shutdown.hh"
 #include "workload/characteristics.hh"
 #include "workload/trace.hh"
@@ -439,7 +439,7 @@ Explorer::exploreAll()
     std::vector<CoreConfig> current(n, space_.initialConfig());
     std::vector<double> current_ipt(n, 0.0);
     // Per-workload evaluation memo (each is touched by one worker at
-    // a time; adoption runs single-threaded between rounds).
+    // a time; adoption reads and writes it only on this thread).
     std::vector<std::unordered_map<std::string, double>> memo(n);
     std::vector<std::atomic<uint64_t>> evals(n);
     for (auto &e : evals)
@@ -562,14 +562,50 @@ Explorer::exploreAll()
     // a resume straight into the final phase skips the cost.
     std::vector<std::shared_ptr<const TraceBuffer>> traces(n);
 
-    auto cached_eval = [&](size_t w, const CoreConfig &cfg) {
+    // Adoption waves (DESIGN.md §6): right before workload w's
+    // adoption loop, simulate w in parallel on every distinct foreign
+    // incumbent the loop may ask for. The loop changes only
+    // current[w], so each configuration it evaluates is in the wave,
+    // in memo[w], or is w's own former incumbent; it reads the wave in
+    // place of simulating and otherwise runs, counts and memoizes
+    // exactly as a serial loop. One thread skips the wave, which could
+    // only add simulations that an adoption makes moot.
+    using Wave = std::unordered_map<std::string, double>;
+    auto adoption_wave = [&](size_t w, bool final_pass, uint64_t instrs) {
+        Wave wave;
+        if (opts_.threads <= 1)
+            return wave;
+        std::vector<std::pair<const CoreConfig *, double *>> todo;
+        for (size_t other = 0; other < n; ++other) {
+            if (other == w || (!final_pass && rep[other] != other) ||
+                current[other].sameArch(current[w]))
+                continue;
+            std::string key = archKey(current[other]);
+            if (!final_pass && memo[w].contains(key))
+                continue;
+            const auto [it, fresh] = wave.emplace(std::move(key), 0.0);
+            if (fresh)
+                todo.emplace_back(&current[other], &it->second);
+        }
+        parallelFor(todo.size(), opts_.threads, [&](size_t i) {
+            *todo[i].second =
+                evaluate(suite_[w], *todo[i].first, instrs, traces[w]);
+        });
+        return wave;
+    };
+
+    auto cached_eval = [&](size_t w, const CoreConfig &cfg,
+                           const Wave &wave) {
         auto &m = memo[w];
         const std::string key = archKey(cfg);
         const auto it = m.find(key);
         if (it != m.end())
             return it->second;
+        const auto pre = wave.find(key);
         const double ipt =
-            evaluate(suite_[w], cfg, opts_.evalInstrs, traces[w]);
+            pre != wave.end()
+                ? pre->second
+                : evaluate(suite_[w], cfg, opts_.evalInstrs, traces[w]);
         evals[w].fetch_add(1, std::memory_order_relaxed);
         m.emplace(key, ipt);
         return ipt;
@@ -620,43 +656,27 @@ Explorer::exploreAll()
             if (!sup) {
                 // Thread pool: each workload is touched by exactly one
                 // worker, so snapshot/install need no locking.
-                std::atomic<size_t> next{0};
                 std::atomic<size_t> done_count{0};
-                auto worker = [&]() {
-                    for (size_t w = next.fetch_add(1); w < n;
-                         w = next.fetch_add(1)) {
-                        if (rep[w] != w)
-                            continue; // reduced away: rep anneals
-                        const SuiteWorkloadState out =
-                            annealWorkloadRound(w, round,
-                                                snapshotState(w),
-                                                identity,
-                                                iters_per_round,
-                                                traces[w]);
-                        installState(w, out);
-                        const size_t done = done_count.fetch_add(1) + 1;
-                        verbose("explore[%s] round %d: best IPT %.3f "
-                                "(%s)", suite_[w].name.c_str(), round,
-                                out.currentIpt,
-                                out.current.summary().c_str());
-                        inform("explore progress: round %d/%d, %zu/%zu "
-                               "workloads, %llu evaluations, %.1fs",
-                               round + 1, opts_.rounds, done, n,
-                               static_cast<unsigned long long>(
-                                   metrics
-                                       .counter("anneal.evaluations")
-                                       .get()),
-                               elapsed_s());
-                    }
-                };
-                std::vector<std::thread> pool;
-                const int nthreads =
-                    std::min<int>(opts_.threads, static_cast<int>(n));
-                pool.reserve(static_cast<size_t>(nthreads));
-                for (int t = 0; t < nthreads; ++t)
-                    pool.emplace_back(worker);
-                for (auto &t : pool)
-                    t.join();
+                parallelFor(n, opts_.threads, [&](size_t w) {
+                    if (rep[w] != w)
+                        return; // reduced away: rep anneals
+                    const SuiteWorkloadState out = annealWorkloadRound(
+                        w, round, snapshotState(w), identity,
+                        iters_per_round, traces[w]);
+                    installState(w, out);
+                    const size_t done = done_count.fetch_add(1) + 1;
+                    verbose("explore[%s] round %d: best IPT %.3f (%s)",
+                            suite_[w].name.c_str(), round,
+                            out.currentIpt,
+                            out.current.summary().c_str());
+                    inform("explore progress: round %d/%d, %zu/%zu "
+                           "workloads, %llu evaluations, %.1fs",
+                           round + 1, opts_.rounds, done, n,
+                           static_cast<unsigned long long>(
+                               metrics.counter("anneal.evaluations")
+                                   .get()),
+                           elapsed_s());
+                });
             } else {
                 // Supervised process pool: each workload-round runs in
                 // a forked worker that inherits the suite state by
@@ -745,13 +765,15 @@ Explorer::exploreAll()
                 for (size_t w = 0; w < n; ++w) {
                     if (rep[w] != w)
                         continue; // non-reps inherit after the rounds
+                    const Wave wave =
+                        adoption_wave(w, false, opts_.evalInstrs);
                     for (size_t other = 0; other < n; ++other) {
                         if (other == w || rep[other] != other)
                             continue;
                         if (current[other].sameArch(current[w]))
                             continue;
                         const double ipt =
-                            cached_eval(w, current[other]);
+                            cached_eval(w, current[other], wave);
                         if (ipt > current_ipt[w] *
                                       (1.0 + opts_.adoptionMargin)) {
                             current[w] = current[other];
@@ -824,21 +846,26 @@ Explorer::exploreAll()
     for (size_t w = 0; w < n; ++w)
         traces[w] = sharedTrace(suite_[w], 0, 2 * score_instrs);
     if (!have_final_ipt) {
-        for (size_t w = 0; w < n; ++w) {
+        parallelFor(n, opts_.threads, [&](size_t w) {
             final_ipt[w] = evaluate(suite_[w], current[w],
                                     score_instrs, traces[w]);
             evals[w].fetch_add(1, std::memory_order_relaxed);
-        }
+        });
         write_suite_ckpt(opts_.rounds,
                          SuiteCheckpoint::Phase::FinalScored, 0);
         adopt_index = 0;
     }
     for (size_t w = adopt_index; w < n; ++w) {
+        const Wave wave = adoption_wave(w, true, score_instrs);
         for (size_t other = 0; other < n; ++other) {
             if (other == w || current[other].sameArch(current[w]))
                 continue;
-            const double ipt = evaluate(suite_[w], current[other],
-                                        score_instrs, traces[w]);
+            const auto pre = wave.find(archKey(current[other]));
+            const double ipt =
+                pre != wave.end()
+                    ? pre->second
+                    : evaluate(suite_[w], current[other], score_instrs,
+                               traces[w]);
             evals[w].fetch_add(1, std::memory_order_relaxed);
             if (ipt > final_ipt[w] *
                           (1.0 + opts_.grossAdoptionMargin)) {

@@ -1,11 +1,20 @@
 /**
  * @file
  * The per-workload exploration driver: runs a simulated-annealing
- * search for every workload of a suite (in parallel across worker
- * threads), with the paper's cross-adoption acceleration (§4.1): after
- * each round, every workload is evaluated on every other workload's
- * incumbent configuration and adopts it when it performs better there
- * than on its own.
+ * search for every workload of a suite, with the paper's
+ * cross-adoption acceleration (§4.1): after each round, every workload
+ * is evaluated on every other workload's incumbent configuration and
+ * adopts it when it performs better there than on its own. A final
+ * pass scores every configuration at the longer final length and
+ * applies the adoption rule once more, to gross violations only.
+ *
+ * Every phase uses the worker threads (util/parallel.hh): a round
+ * anneals one workload per thread (or per supervised worker process),
+ * the final scores run one workload per thread, and each workload's
+ * adoption candidates are simulated as one parallel wave before its
+ * adoption decisions are taken, in suite order, on the calling
+ * thread. Results therefore do not depend on the thread count
+ * (DESIGN.md §6).
  *
  * The output — one customized configuration per workload — is the
  * paper's *configurational characterization* of the suite.

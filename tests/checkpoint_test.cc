@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -136,6 +137,40 @@ sampleWorkloadCheckpoint()
     return ckpt;
 }
 
+SuiteCheckpoint
+sampleSuiteCheckpoint()
+{
+    SuiteCheckpoint ckpt;
+    ckpt.round = 1;
+    ckpt.phase = SuiteCheckpoint::Phase::FinalAdopt;
+    ckpt.adoptIndex = 2;
+    ckpt.finalIpt = {1.5, 2.5, 0.125};
+    for (int i = 0; i < 3; ++i) {
+        SuiteWorkloadState ws;
+        ws.current = space().initialConfig();
+        ws.current.name = "w" + std::to_string(i);
+        ws.currentIpt = 1.0 + i;
+        ws.evals = 10 + static_cast<uint64_t>(i);
+        ws.adoptions = static_cast<uint64_t>(i);
+        ws.memo = {{"a|b", 0.5 * i}};
+        ckpt.workloads.push_back(ws);
+    }
+    return ckpt;
+}
+
+/** `text` with its first line that starts with `tag` replaced by
+ *  `line`. */
+std::string
+replaceLine(std::string text, const std::string &tag,
+            const std::string &line)
+{
+    const size_t at = text.find("\n" + tag);
+    EXPECT_NE(at, std::string::npos) << "no '" << tag << "' line";
+    if (at != std::string::npos)
+        text.replace(at + 1, text.find('\n', at + 1) - at - 1, line);
+    return text;
+}
+
 } // namespace
 
 TEST(CheckpointFormat, WorkloadRoundTrip)
@@ -167,21 +202,7 @@ TEST(CheckpointFormat, WorkloadRoundTrip)
 
 TEST(CheckpointFormat, SuiteRoundTrip)
 {
-    SuiteCheckpoint ckpt;
-    ckpt.round = 1;
-    ckpt.phase = SuiteCheckpoint::Phase::FinalAdopt;
-    ckpt.adoptIndex = 2;
-    ckpt.finalIpt = {1.5, 2.5, 0.125};
-    for (int i = 0; i < 3; ++i) {
-        SuiteWorkloadState ws;
-        ws.current = space().initialConfig();
-        ws.current.name = "w" + std::to_string(i);
-        ws.currentIpt = 1.0 + i;
-        ws.evals = 10 + static_cast<uint64_t>(i);
-        ws.adoptions = static_cast<uint64_t>(i);
-        ws.memo = {{"a|b", 0.5 * i}};
-        ckpt.workloads.push_back(ws);
-    }
+    const SuiteCheckpoint ckpt = sampleSuiteCheckpoint();
     const std::string text =
         serializeSuiteCheckpoint(ckpt, testIdentity());
     SuiteCheckpoint back;
@@ -240,6 +261,34 @@ TEST(CheckpointFormat, RejectsGarbage)
         EXPECT_FALSE(
             parseWorkloadCheckpoint(garbage, testIdentity(), wc));
         EXPECT_FALSE(parseSuiteCheckpoint(garbage, testIdentity(), sc));
+    }
+
+    // Real checkpoints under a valid manifest whose record counts
+    // claim more records than the file holds: rejected, never an
+    // allocation of the claimed size.
+    const std::string huge = "99999999999999999";
+    const std::string wtext = serializeWorkloadCheckpoint(
+        sampleWorkloadCheckpoint(), testIdentity());
+    ASSERT_TRUE(parseWorkloadCheckpoint(wtext, testIdentity(), wc));
+    for (const auto &[tag, line] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"memo.count ", "memo.count " + huge},
+             // 2 + 2 * 2^63 wraps to 2, this line's token count.
+             {"trace ", "trace 9223372036854775808"}}) {
+        EXPECT_FALSE(parseWorkloadCheckpoint(
+            replaceLine(wtext, tag, line), testIdentity(), wc))
+            << "accepted " << line;
+    }
+    const std::string stext =
+        serializeSuiteCheckpoint(sampleSuiteCheckpoint(), testIdentity());
+    ASSERT_TRUE(parseSuiteCheckpoint(stext, testIdentity(), sc));
+    for (const auto &[tag, line] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"memo.count ", "memo.count " + huge},
+             {"workloads ", "workloads " + huge}}) {
+        EXPECT_FALSE(parseSuiteCheckpoint(replaceLine(stext, tag, line),
+                                          testIdentity(), sc))
+            << "accepted " << line;
     }
 }
 
@@ -380,9 +429,13 @@ TEST(ExplorerCheckpoint, CheckpointedRunMatchesPlainRun)
 namespace
 {
 
+/** Packed into 16 bytes with no padding: ctest names each case after
+ *  these bytes, so the names stay the same from build to build. */
 struct KillParam
 {
     int killAfterWrites; ///< _exit(42) at the Nth checkpoint write
+    uint16_t threads;    ///< explorer worker threads
+    uint16_t workloads;  ///< suite size: a prefix of killSuite()
     uint64_t seed;
 };
 
@@ -390,22 +443,39 @@ class ExplorerKillResume : public testing::TestWithParam<KillParam>
 {
 };
 
+std::vector<WorkloadProfile>
+killSuite(size_t workloads)
+{
+    std::vector<WorkloadProfile> suite = miniSuite();
+    suite.push_back(profileByName("twolf"));
+    suite.resize(workloads);
+    return suite;
+}
+
+ExplorerOptions
+killOpts(const KillParam &p)
+{
+    ExplorerOptions opts = miniOpts(p.seed);
+    opts.threads = p.threads;
+    return opts;
+}
+
 /** Death-test body: explore with checkpointing and _exit(42) at the
  *  Nth checkpoint write — no cleanup, no flush, exactly like a
  *  SIGKILL at that instant. */
 [[noreturn]] void
-exploreAndKill(const std::string &dir, uint64_t seed, int kill_after)
+exploreAndKill(const std::string &dir, const KillParam &p)
 {
-    ExplorerOptions opts = miniOpts(seed);
+    ExplorerOptions opts = killOpts(p);
     opts.checkpointEvery = 4;
     opts.checkpointDir = dir;
     auto writes = std::make_shared<std::atomic<int>>(0);
     opts.checkpointWrittenHook =
-        [writes, kill_after](const std::string &) {
+        [writes, kill_after = p.killAfterWrites](const std::string &) {
             if (writes->fetch_add(1) + 1 >= kill_after)
                 ::_exit(42);
         };
-    Explorer(miniSuite(), opts).exploreAll();
+    Explorer(killSuite(p.workloads), opts).exploreAll();
     ::_exit(0); // unreachable for the kill points we sweep
 }
 
@@ -413,46 +483,134 @@ exploreAndKill(const std::string &dir, uint64_t seed, int kill_after)
 
 TEST_P(ExplorerKillResume, ResumeAfterKillIsBitIdentical)
 {
+    const KillParam &p = GetParam();
     // The golden, uninterrupted result.
     const auto golden =
-        Explorer(miniSuite(), miniOpts(GetParam().seed)).exploreAll();
+        Explorer(killSuite(p.workloads), killOpts(p)).exploreAll();
 
     const std::string dir = freshDir(
-        "kill" + std::to_string(GetParam().killAfterWrites) + "_s" +
-        std::to_string(GetParam().seed));
+        "kill" + std::to_string(p.killAfterWrites) + "_s" +
+        std::to_string(p.seed) + "_n" + std::to_string(p.workloads) +
+        "_t" + std::to_string(p.threads));
 
     // Phase 1 (in a forked child). The default "fast" death-test
     // style is required: the child must inherit this process's `dir`
     // and run from the fork point (no worker threads are live here —
     // every exploreAll joins its pool).
-    EXPECT_EXIT(exploreAndKill(dir, GetParam().seed,
-                               GetParam().killAfterWrites),
-                testing::ExitedWithCode(42), "");
+    EXPECT_EXIT(exploreAndKill(dir, p), testing::ExitedWithCode(42), "");
 
     // Phase 2: resume from whatever files the kill left behind.
-    ExplorerOptions opts = miniOpts(GetParam().seed);
+    ExplorerOptions opts = killOpts(p);
     opts.checkpointEvery = 4;
     opts.checkpointDir = dir;
-    const auto resumed = Explorer(miniSuite(), opts).exploreAll();
+    const auto resumed =
+        Explorer(killSuite(p.workloads), opts).exploreAll();
 
     expectResultsIdentical(resumed, golden);
     EXPECT_TRUE(std::filesystem::is_empty(dir));
     std::filesystem::remove_all(dir);
 }
 
-// 24 iters / 2 rounds / 2 workloads at cadence 4 => 6 anneal writes
-// per workload per round, plus suite barriers and final-phase writes:
-// the kill points below land in round 0, round 1, the suite barrier,
-// and the final phase.
+// 24 iters / 2 rounds at cadence 4 => 3 anneal writes per workload per
+// round, then a suite barrier per round (round 0's after adoption),
+// one final-scored write and one final-adopt write per workload. Two
+// workloads at one thread: writes 1-6 are round 0, 7 its barrier,
+// 8-13 round 1, 14 its barrier, 15-17 the final phase. Three
+// workloads at three threads: writes 1-9 are round 0 (interleaved
+// across threads, but always nine), 10 its barrier, 20 round 1's, 21
+// the final scores and 22-24 the final adoption.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ExplorerKillResume,
-    testing::Values(KillParam{1, 9}, KillParam{3, 9}, KillParam{7, 9},
-                    KillParam{13, 9}, KillParam{17, 9},
-                    KillParam{5, 21}, KillParam{11, 33}),
+    // {killAfterWrites, threads, workloads, seed}
+    testing::Values(KillParam{1, 1, 2, 9}, KillParam{3, 1, 2, 9},
+                    KillParam{7, 1, 2, 9}, KillParam{13, 1, 2, 9},
+                    KillParam{17, 1, 2, 9}, KillParam{5, 1, 2, 21},
+                    KillParam{11, 1, 2, 33}, KillParam{10, 3, 3, 9},
+                    KillParam{21, 3, 3, 9}, KillParam{23, 3, 3, 33}),
     [](const testing::TestParamInfo<KillParam> &info) {
-        return "w" + std::to_string(info.param.killAfterWrites) +
-               "_seed" + std::to_string(info.param.seed);
+        std::string name = "w" +
+                           std::to_string(info.param.killAfterWrites) +
+                           "_seed" + std::to_string(info.param.seed);
+        if (info.param.workloads != 2 || info.param.threads != 1)
+            name += "_n" + std::to_string(info.param.workloads) + "_t" +
+                    std::to_string(info.param.threads);
+        return name;
     });
+
+// --- explorer: the thread count changes nothing ----------------------------
+
+TEST(ExplorerThreads, ResultsAndCheckpointsIdenticalAtAnyThreadCount)
+{
+    // Four workloads over three rounds, so between-round and final
+    // adoption both run their parallel waves; seed 10 adopts in both
+    // (three round adoptions, one gross adoption at one thread). Every
+    // run must match the one-thread run field for field, and so must
+    // the bytes of every suite checkpoint it writes, the final-phase
+    // ones included.
+    const std::vector<WorkloadProfile> suite = {
+        profileByName("gzip"), profileByName("mcf"),
+        profileByName("twolf"), profileByName("crafty")};
+    struct Run
+    {
+        std::vector<WorkloadResult> results;
+        std::vector<std::string> suiteCheckpoints;
+    };
+    auto run = [&](int threads) {
+        const std::string dir =
+            freshDir("threads" + std::to_string(threads));
+        ExplorerOptions opts = miniOpts(10);
+        opts.saIters = 36;
+        opts.rounds = 3;
+        opts.threads = threads;
+        opts.checkpointEvery = 4;
+        opts.checkpointDir = dir;
+        Run r;
+        // Suite checkpoints are written on the calling thread; the
+        // per-workload ones, skipped here, on the worker threads.
+        const std::string suite_path = dir + "/suite.ckpt";
+        opts.checkpointWrittenHook = [&](const std::string &path) {
+            std::string bytes;
+            if (path == suite_path && readFile(path, bytes))
+                r.suiteCheckpoints.push_back(std::move(bytes));
+        };
+        r.results = Explorer(suite, opts).exploreAll();
+        std::filesystem::remove_all(dir);
+        return r;
+    };
+
+    const Run serial = run(1);
+    uint64_t adoptions = 0;
+    for (const WorkloadResult &res : serial.results)
+        adoptions += res.adoptions;
+    ASSERT_GT(adoptions, 0u) << "seed exercises no adoption";
+    size_t final_phase = 0;
+    for (const std::string &bytes : serial.suiteCheckpoints) {
+        if (bytes.find("\nphase final-") != std::string::npos)
+            ++final_phase;
+    }
+    EXPECT_EQ(final_phase, 1 + suite.size()); // scored + one per adopt
+
+    for (int threads : {2, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        const Run par = run(threads);
+        ASSERT_EQ(par.results.size(), serial.results.size());
+        for (size_t w = 0; w < serial.results.size(); ++w) {
+            const WorkloadResult &a = serial.results[w];
+            const WorkloadResult &b = par.results[w];
+            EXPECT_EQ(a.workload, b.workload);
+            EXPECT_EQ(a.best.toCsvRow(), b.best.toCsvRow());
+            EXPECT_EQ(std::bit_cast<uint64_t>(a.bestIpt),
+                      std::bit_cast<uint64_t>(b.bestIpt));
+            EXPECT_EQ(a.evaluations, b.evaluations);
+            EXPECT_EQ(a.adoptions, b.adoptions);
+        }
+        ASSERT_EQ(par.suiteCheckpoints.size(),
+                  serial.suiteCheckpoints.size());
+        for (size_t i = 0; i < serial.suiteCheckpoints.size(); ++i)
+            EXPECT_EQ(par.suiteCheckpoints[i], serial.suiteCheckpoints[i])
+                << "suite checkpoint write " << i;
+    }
+}
 
 namespace
 {
@@ -507,7 +665,7 @@ TEST(ExplorerCheckpoint, StaleCheckpointFromOtherBudgetIsIgnored)
     // in the directory: the run must ignore them and still match its
     // own golden result.
     const std::string dir = freshDir("stale");
-    EXPECT_EXIT(exploreAndKill(dir, 77, 1),
+    EXPECT_EXIT(exploreAndKill(dir, KillParam{1, 1, 2, 77}),
                 testing::ExitedWithCode(42), "");
     ASSERT_FALSE(std::filesystem::is_empty(dir));
 

@@ -8,14 +8,19 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "util/atomic_file.hh"
 #include "util/csv.hh"
 #include "util/env.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/stats_util.hh"
 #include "util/table.hh"
@@ -510,6 +515,56 @@ TEST(Env, ResolveThreadsClampsAbsurdCounts)
     setenv("XPS_THREADS", "999999999", 1);
     EXPECT_EQ(resolveThreads(0), 4096);
     unsetenv("XPS_THREADS");
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
+{
+    for (int threads : {-1, 1, 3, 8}) {
+        for (size_t count : {0, 1, 5, 100}) {
+            std::vector<std::atomic<int>> hits(count);
+            parallelFor(count, threads,
+                        [&](size_t i) { hits[i].fetch_add(1); });
+            for (size_t i = 0; i < count; ++i)
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "index " << i << " of " << count << " at "
+                    << threads << " threads";
+        }
+    }
+}
+
+TEST(ParallelFor, OneThreadRunsInlineInOrder)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<size_t> order;
+    parallelFor(5, 1, [&](size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelFor, RethrowsTheFirstExceptionAfterJoining)
+{
+    for (int threads : {1, 4}) {
+        std::atomic<int> active{0};
+        std::atomic<size_t> calls{0};
+        EXPECT_THROW(
+            parallelFor(1000, threads,
+                        [&](size_t i) {
+                            active.fetch_add(1);
+                            calls.fetch_add(1);
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(1));
+                            active.fetch_sub(1);
+                            if (i == 3)
+                                throw std::runtime_error("cell 3");
+                        }),
+            std::runtime_error);
+        // Every call had returned before the exception reached us,
+        // and the throw stopped the remaining indices from starting.
+        EXPECT_EQ(active.load(), 0);
+        EXPECT_LT(calls.load(), 1000u);
+    }
 }
 
 TEST(Env, BudgetHasSaneDefaults)
