@@ -118,9 +118,7 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
     };
 
     // Metropolis acceptance + incumbent tracking + the paper's
-    // rollback rule, for a candidate whose score is trusted. Shared
-    // by the scalar and frontier paths so the decision logic cannot
-    // drift between them.
+    // rollback rule, for a candidate whose score is trusted.
     auto metropolis = [&](uint64_t iter, const CoreConfig &cand,
                           double cand_score) {
         ++result.evaluations;
@@ -184,125 +182,100 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
         }
     };
 
-    if (frontier_) {
-        // Frontier (batched) walk: rounds of up to `frontierWidth_`
-        // neighbours of the round-start point, scored in one
-        // FrontierObjective call, then judged in draw order.
-        Counter &ctr_screened = metrics.counter("anneal.screened");
-        Counter &ctr_vetoed = metrics.counter("anneal.vetoed");
-        uint64_t iter = state.iteration;
-        while (iter < params_.iterations) {
-            const uint64_t round = std::min<uint64_t>(
-                frontierWidth_, params_.iterations - iter);
-            const uint64_t round_begin =
-                step_histogram ? obs::detail::nowNs() : 0;
-
-            // Draw the whole frontier first (RNG order: all draws,
-            // then all acceptance rolls — at width 1 that is exactly
-            // the scalar order, since each round has one of each).
-            std::vector<CoreConfig> cands(round);
-            std::vector<uint8_t> have(round, 0);
-            std::vector<CoreConfig> to_eval;
-            std::vector<size_t> eval_pos;
-            for (uint64_t k = 0; k < round; ++k) {
-                bool h = false;
-                for (int attempt = 0; attempt < 16 && !h; ++attempt)
-                    h = space_.neighbor(current, rng, cands[k]);
-                have[k] = h;
-                if (h) {
-                    eval_pos.push_back(k);
-                    to_eval.push_back(cands[k]);
-                }
+    // The walk: rounds of up to `width` neighbours of the round-start
+    // point, scored in one FrontierObjective call, then judged in
+    // draw order. A plain objective is a width-1 frontier of trusted
+    // scores, whose rounds are exactly the classic one-proposal steps.
+    const FrontierObjective plain =
+        [this](const std::vector<CoreConfig> &cands,
+               const FrontierContext &, std::vector<double> &scores,
+               std::vector<uint8_t> &full) {
+            for (const CoreConfig &cand : cands) {
+                scores.push_back(objective_(cand));
+                full.push_back(kScreenFull);
             }
-            std::vector<double> scores;
-            std::vector<uint8_t> full;
-            const FrontierContext ctx{cur_score, temp};
-            if (!to_eval.empty())
-                frontier_(to_eval, ctx, scores, full);
-            std::vector<double> score_of(round, 0.0);
-            std::vector<uint8_t> full_of(round, 0);
-            for (size_t j = 0; j < eval_pos.size(); ++j) {
-                score_of[eval_pos[j]] = scores[j];
-                full_of[eval_pos[j]] = full[j];
-            }
-
-            for (uint64_t k = 0; k < round; ++k) {
-                ++iter;
-                temp *= cooling;
-                if (!have[k])
-                    continue; // stuck corner; cool and retry
-                if (full_of[k] == kScreenVeto) {
-                    // Surrogate veto: modelled as a certain
-                    // Metropolis reject of a worse candidate, so the
-                    // acceptance roll such a reject would consume is
-                    // burned here — a correct veto leaves the
-                    // trajectory and RNG stream identical to the
-                    // unscreened walk's.
-                    rng.uniform();
-                    ctr_rejects.add();
-                    ctr_vetoed.add();
-                    obs::instant("anneal.veto", "anneal", [&] {
-                        return obs::Args()
-                            .add("workload", label)
-                            .add("step", iter)
-                            .add("temp", temp);
-                    });
-                    continue;
-                }
-                if (full_of[k] == kScreenPartial) {
-                    // Screened out at a cut: an auto-rejected
-                    // proposal (no acceptance randomness consumed —
-                    // its partial score is not comparable).
-                    ctr_rejects.add();
-                    ctr_screened.add();
-                    obs::instant("anneal.screened", "anneal", [&] {
-                        return obs::Args()
-                            .add("workload", label)
-                            .add("step", iter)
-                            .add("temp", temp);
-                    });
-                    continue;
-                }
-                metropolis(iter, cands[k], score_of[k]);
-            }
-
-            if (step_histogram) {
-                const uint64_t per =
-                    (obs::detail::nowNs() - round_begin) / round;
-                for (uint64_t k = 0; k < round; ++k)
-                    step_histogram->record(per);
-            }
-            if (checkpointEvery > 0 && hook &&
-                (iter / checkpointEvery >
-                     (iter - round) / checkpointEvery ||
-                 iter == params_.iterations)) {
-                sync(iter);
-                hook(state);
-                exitIfStopRequested(label, iter);
-            }
-        }
-        sync(params_.iterations);
-        return;
-    }
-
-    for (uint64_t iter = state.iteration + 1;
-         iter <= params_.iterations; ++iter) {
-        temp *= cooling;
-        const uint64_t step_begin =
+        };
+    const FrontierObjective &frontier = frontier_ ? frontier_ : plain;
+    Counter &ctr_screened = metrics.counter("anneal.screened");
+    Counter &ctr_vetoed = metrics.counter("anneal.vetoed");
+    // Per-round buffers, reused so a round allocates nothing.
+    std::vector<CoreConfig> cands;
+    std::vector<uint8_t> drawn, full;
+    std::vector<double> scores;
+    CoreConfig cand;
+    uint64_t iter = state.iteration;
+    while (iter < params_.iterations) {
+        const uint64_t round = std::min<uint64_t>(
+            frontierWidth_, params_.iterations - iter);
+        const uint64_t round_begin =
             step_histogram ? obs::detail::nowNs() : 0;
 
-        CoreConfig cand;
-        bool have = false;
-        for (int attempt = 0; attempt < 16 && !have; ++attempt)
-            have = space_.neighbor(current, rng, cand);
-        if (have)
-            metropolis(iter, cand, objective_(cand));
-        // else: stuck corner; cool and retry next iteration
-        if (step_histogram)
-            step_histogram->record(obs::detail::nowNs() - step_begin);
+        // Draw the whole frontier first (RNG order: all draws, then
+        // all acceptance rolls — at width 1 one of each per round).
+        // A stuck corner draws nothing for its slot.
+        cands.clear();
+        drawn.assign(round, 0);
+        for (uint64_t k = 0; k < round; ++k) {
+            for (int attempt = 0; attempt < 16 && !drawn[k]; ++attempt)
+                drawn[k] = space_.neighbor(current, rng, cand);
+            if (drawn[k])
+                cands.push_back(cand);
+        }
+        scores.clear();
+        full.clear();
+        const FrontierContext ctx{cur_score, temp};
+        if (!cands.empty())
+            frontier(cands, ctx, scores, full);
 
+        size_t next = 0; // the next scored candidate, in draw order
+        for (uint64_t k = 0; k < round; ++k) {
+            ++iter;
+            temp *= cooling;
+            if (!drawn[k])
+                continue; // stuck corner; cool and retry
+            const size_t c = next++;
+            if (full[c] == kScreenVeto) {
+                // Surrogate veto: modelled as a certain Metropolis
+                // reject of a worse candidate, so the acceptance roll
+                // such a reject would consume is burned here — a
+                // correct veto leaves the trajectory and RNG stream
+                // identical to the unscreened walk's.
+                rng.uniform();
+                ctr_rejects.add();
+                ctr_vetoed.add();
+                obs::instant("anneal.veto", "anneal", [&] {
+                    return obs::Args()
+                        .add("workload", label)
+                        .add("step", iter)
+                        .add("temp", temp);
+                });
+                continue;
+            }
+            if (full[c] == kScreenPartial) {
+                // Screened out at a cut: an auto-rejected proposal (no
+                // acceptance randomness consumed — its partial score
+                // is not comparable).
+                ctr_rejects.add();
+                ctr_screened.add();
+                obs::instant("anneal.screened", "anneal", [&] {
+                    return obs::Args()
+                        .add("workload", label)
+                        .add("step", iter)
+                        .add("temp", temp);
+                });
+                continue;
+            }
+            metropolis(iter, cands[c], scores[c]);
+        }
+
+        if (step_histogram) {
+            const uint64_t per =
+                (obs::detail::nowNs() - round_begin) / round;
+            for (uint64_t k = 0; k < round; ++k)
+                step_histogram->record(per);
+        }
         if (checkpointEvery > 0 && hook &&
-            (iter % checkpointEvery == 0 ||
+            (iter / checkpointEvery > (iter - round) / checkpointEvery ||
              iter == params_.iterations)) {
             sync(iter);
             hook(state);

@@ -126,15 +126,15 @@ class Annealer
              AnnealParams params);
 
     /**
-     * Switch resume() to frontier mode: each round draws up to
-     * `width` neighbours of the round-start current point, scores
-     * them in one FrontierObjective call, then applies the standard
-     * per-candidate Metropolis / improvement / rollback steps in draw
-     * order (a multiple-try flavour of the same walk). Screened-out
-     * candidates are auto-rejected proposals; they still consume
-     * iterations, so the schedule length is unchanged. At width 1
-     * with no screening the trajectory is bit-identical to the
-     * scalar walk — same RNG consumption order, same decisions.
+     * Score proposals with `frontier`, `width` at a time. resume()
+     * walks in rounds: each draws up to `width` neighbours of the
+     * round-start current point, scores them in one FrontierObjective
+     * call, then applies the standard per-candidate Metropolis /
+     * improvement / rollback steps in draw order (a multiple-try
+     * flavour of the classic walk). Screened-out candidates are
+     * auto-rejected proposals; they still consume iterations, so the
+     * schedule length is unchanged. Without a frontier, the plain
+     * objective scores a width-1 frontier, one proposal per round.
      * Checkpoints fire only at round boundaries, which keeps resumed
      * runs on the original round grid.
      */

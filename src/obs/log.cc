@@ -1,22 +1,13 @@
 #include "obs/log.hh"
 
-#include <fcntl.h>
-#include <pthread.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <map>
-#include <mutex>
-#include <vector>
 
 #include "obs/json.hh"
-#include "util/atomic_file.hh"
+#include "obs/shard.hh"
 #include "util/env.hh"
 #include "util/metrics.hh"
 
@@ -36,14 +27,6 @@ int gMinLevel = static_cast<int>(Level::Info);
 namespace
 {
 
-/** Buffered events drain to the shard at this cadence even under
- *  light load, so a killed worker loses at most a recent tail. */
-constexpr uint64_t kFlushIntervalNs = 250ull * 1000 * 1000;
-
-/** Logs are cold relative to spans: a small buffer keeps the tail a
- *  crash can lose short without measurable write amplification. */
-constexpr size_t kBufferBytes = 16 * 1024;
-
 /** One rate-limit window per (component, level). */
 struct RateWindow
 {
@@ -52,142 +35,41 @@ struct RateWindow
     uint64_t suppressed = 0;
 };
 
+/** Events per (component, level) per second; 0 = unlimited. */
+std::atomic<uint64_t> gRatePerSec{200};
+
+/** Touched only under the sink lock (inside append()) or by the
+ *  sink's reset, which clears it on arm, disarm and fork. */
+std::map<std::string, RateWindow> &
+windows()
+{
+    static auto *w = new std::map<std::string, RateWindow>();
+    return *w;
+}
+
 /**
- * Per-process logger state. Guarded by `mutex` except inside the
- * fork-child handler, which runs while the (single-threaded, by the
- * ProcPool contract) child owns the process outright.
- *
- * Internal diagnostics use std::fprintf directly, never inform()/
- * warn(): those are bridged back into this logger, and re-entering
- * emit() under `mutex` would deadlock.
+ * Logs are cold relative to spans: a small buffer keeps the tail a
+ * crash can lose short without measurable write amplification.
+ * Internal diagnostics use std::fprintf (in the sink), never inform()/
+ * warn(): those are bridged back into this logger.
  */
-struct LogState
+ShardSink &
+sink()
 {
-    std::mutex mutex;
-    std::string mergedPath;
-    std::string shardDir;
-    std::string pending; ///< serialized JSONL not yet in the shard
-    uint64_t lastFlushNs = 0;
-    int fd = -1;
-    pid_t originPid = 0; ///< the process that merges at exit
-    bool atexitArmed = false;
-    bool forkHookArmed = false;
-    bool writeFailed = false;
-    bool suppressMerge = false; ///< XPS_LOG_MERGE=0: shard-only
-    uint64_t ratePerSec = 200;
-    std::map<std::string, RateWindow> windows;
-};
-
-LogState &
-state()
-{
-    static LogState *s = new LogState();
+    static ShardSink *s = new ShardSink(ShardStream{
+        .name = "log",
+        .prefix = "log",
+        .bufferBytes = 16 * 1024,
+        .dropped = "log.dropped_lines",
+        .merged = "log.lines_merged",
+        .head = "",
+        .separator = "",
+        .tail = "",
+        .armed = &detail::gEnabled,
+        .mergeAtExit = [] { mergeLog(); },
+        .reset = [] { windows().clear(); },
+    });
     return *s;
-}
-
-std::atomic<uint32_t> gNextTid{0};
-
-uint32_t
-threadId()
-{
-    thread_local uint32_t tid =
-        gNextTid.fetch_add(1, std::memory_order_relaxed) + 1;
-    return tid;
-}
-
-uint64_t
-nowNs()
-{
-    // The trace clock (including its test shim): log and span
-    // timestamps line up in post-mortems by construction.
-    return obs::detail::nowNs();
-}
-
-std::string
-shardPathFor(const LogState &s, pid_t pid)
-{
-    return s.shardDir + "/log." + std::to_string(pid) + ".jsonl";
-}
-
-/** Write `pending` to this process's shard. Caller holds the lock. */
-void
-flushLocked(LogState &s, uint64_t tsNs)
-{
-    s.lastFlushNs = tsNs;
-    if (s.pending.empty() || s.writeFailed)
-        return;
-    if (s.fd < 0) {
-        std::error_code ec;
-        std::filesystem::create_directories(s.shardDir, ec);
-        s.fd = ::open(shardPathFor(s, ::getpid()).c_str(),
-                      O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-        if (s.fd < 0) {
-            std::fprintf(stderr,
-                         "[warn] log: cannot open shard %s: %s; "
-                         "dropping events\n",
-                         shardPathFor(s, ::getpid()).c_str(),
-                         std::strerror(errno));
-            s.writeFailed = true;
-            s.pending.clear();
-            return;
-        }
-    }
-    size_t off = 0;
-    while (off < s.pending.size()) {
-        const ssize_t n = ::write(s.fd, s.pending.data() + off,
-                                  s.pending.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            std::fprintf(stderr,
-                         "[warn] log: shard write failed: %s; "
-                         "dropping events\n",
-                         std::strerror(errno));
-            s.writeFailed = true;
-            break;
-        }
-        off += static_cast<size_t>(n);
-    }
-    s.pending.clear();
-}
-
-/** See tracer.cc childAfterFork: the inherited fd and buffer belong
- *  to the parent; the child starts a clean shard of its own. */
-void
-childAfterFork()
-{
-    LogState &s = state();
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.pending.clear();
-    s.writeFailed = false;
-    s.windows.clear();
-}
-
-void
-mergeAtExit()
-{
-    LogState &s = state();
-    if (!detail::gEnabled)
-        return;
-    if (::getpid() == s.originPid && !s.suppressMerge)
-        mergeLog();
-    else
-        flushLog(); // child or shard-only mode: keep the events
-}
-
-void
-armHooksLocked(LogState &s)
-{
-    if (!s.forkHookArmed) {
-        ::pthread_atfork(nullptr, nullptr, childAfterFork);
-        s.forkHookArmed = true;
-    }
-    if (!s.atexitArmed) {
-        std::atexit(mergeAtExit);
-        s.atexitArmed = true;
-    }
 }
 
 /** Arm from the environment on program start-up, like the tracer:
@@ -243,75 +125,71 @@ void
 emit(Level level, const char *component, const std::string &msg,
      std::string fieldsJson)
 {
-    LogState &s = state();
-    const uint64_t tsNs = nowNs();
+    // The trace clock (including its test shim): log and span
+    // timestamps line up in post-mortems by construction.
+    const uint64_t tsNs = obs::detail::nowNs();
     // The request context (tracer.cc) is guarded by its own leaf
-    // mutex; read it before taking ours so lock order stays trivial.
+    // mutex; read it before the sink lock so lock order stays trivial.
     const std::string rid = requestContext();
+    const int pid = static_cast<int>(::getpid());
 
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (!gEnabled)
-        return;
-
-    // Rate limit per (component, level): a crash loop must not turn
-    // the log into its own outage. Window roll emits one summary.
-    if (s.ratePerSec > 0) {
-        RateWindow &w =
-            s.windows[std::string(component) + "/" +
-                      levelName(level)];
-        if (tsNs - w.startNs >= 1000ull * 1000 * 1000) {
-            if (w.suppressed > 0) {
-                char line[256];
-                std::snprintf(
-                    line, sizeof(line),
-                    "{\"ts\":%.3f,\"level\":\"warn\",\"component\":"
-                    "\"log\",\"msg\":\"rate limit: suppressed %llu "
-                    "event(s) from %s\",\"pid\":%d,\"tid\":%u}\n",
-                    static_cast<double>(tsNs) / 1000.0,
-                    static_cast<unsigned long long>(w.suppressed),
-                    component, static_cast<int>(::getpid()),
-                    threadId());
-                s.pending += line;
+    sink().append(tsNs, [&](std::string &out) {
+        // Rate limit per (component, level): a crash loop must not
+        // turn the log into its own outage. Window roll emits one
+        // summary.
+        const uint64_t ratePerSec = gRatePerSec.load();
+        if (ratePerSec > 0) {
+            RateWindow &w = windows()[std::string(component) + "/" +
+                                      levelName(level)];
+            if (tsNs - w.startNs >= 1000ull * 1000 * 1000) {
+                if (w.suppressed > 0) {
+                    char line[256];
+                    std::snprintf(
+                        line, sizeof(line),
+                        "{\"ts\":%.3f,\"level\":\"warn\",\"component\":"
+                        "\"log\",\"msg\":\"rate limit: suppressed %llu "
+                        "event(s) from %s\",\"pid\":%d,\"tid\":%u}\n",
+                        static_cast<double>(tsNs) / 1000.0,
+                        static_cast<unsigned long long>(w.suppressed),
+                        component, pid, threadId());
+                    out += line;
+                }
+                w.startNs = tsNs;
+                w.count = 0;
+                w.suppressed = 0;
             }
-            w.startNs = tsNs;
-            w.count = 0;
-            w.suppressed = 0;
+            if (++w.count > ratePerSec) {
+                ++w.suppressed;
+                Metrics::global().counter("log.suppressed").add();
+                return;
+            }
         }
-        if (++w.count > s.ratePerSec) {
-            ++w.suppressed;
-            Metrics::global().counter("log.suppressed").add();
-            return;
-        }
-    }
 
-    char head[128];
-    const int head_len = std::snprintf(
-        head, sizeof(head), "{\"ts\":%.3f,\"level\":\"%s\",",
-        static_cast<double>(tsNs) / 1000.0, levelName(level));
-    s.pending.append(head, static_cast<size_t>(head_len));
-    s.pending += "\"component\":\"";
-    s.pending += json::escape(component);
-    s.pending += "\",\"msg\":\"";
-    s.pending += json::escape(msg);
-    s.pending += "\"";
-    char mid[64];
-    const int mid_len = std::snprintf(
-        mid, sizeof(mid), ",\"pid\":%d,\"tid\":%u",
-        static_cast<int>(::getpid()), threadId());
-    s.pending.append(mid, static_cast<size_t>(mid_len));
-    if (!rid.empty()) {
-        s.pending += ",\"rid\":\"";
-        s.pending += json::escape(rid);
-        s.pending += "\"";
-    }
-    if (!fieldsJson.empty()) {
-        s.pending += ",\"fields\":";
-        s.pending += fieldsJson;
-    }
-    s.pending += "}\n";
-    if (s.pending.size() >= kBufferBytes ||
-        tsNs - s.lastFlushNs >= kFlushIntervalNs)
-        flushLocked(s, tsNs);
+        char head[128];
+        const int head_len = std::snprintf(
+            head, sizeof(head), "{\"ts\":%.3f,\"level\":\"%s\",",
+            static_cast<double>(tsNs) / 1000.0, levelName(level));
+        out.append(head, static_cast<size_t>(head_len));
+        out += "\"component\":\"";
+        out += json::escape(component);
+        out += "\",\"msg\":\"";
+        out += json::escape(msg);
+        out += "\"";
+        char mid[64];
+        const int mid_len = std::snprintf(
+            mid, sizeof(mid), ",\"pid\":%d,\"tid\":%u", pid, threadId());
+        out.append(mid, static_cast<size_t>(mid_len));
+        if (!rid.empty()) {
+            out += ",\"rid\":\"";
+            out += json::escape(rid);
+            out += "\"";
+        }
+        if (!fieldsJson.empty()) {
+            out += ",\"fields\":";
+            out += fieldsJson;
+        }
+        out += "}\n";
+    });
 }
 
 } // namespace detail
@@ -320,171 +198,42 @@ void
 configureLogging(const std::string &mergedPath, Level minLevel,
                  uint64_t ratePerSec)
 {
-    LogState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.mergedPath = mergedPath;
-    s.shardDir = mergedPath + ".shards";
-    s.pending.clear();
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.writeFailed = false;
-    s.windows.clear();
-    s.ratePerSec = ratePerSec > 0 ? ratePerSec
-                                  : envUInt("XPS_LOG_RATE", 200);
-    s.suppressMerge = envUInt("XPS_LOG_MERGE", 1) == 0;
-    s.originPid = ::getpid();
-    s.lastFlushNs = nowNs();
-    armHooksLocked(s);
+    gRatePerSec = ratePerSec > 0 ? ratePerSec
+                                 : envUInt("XPS_LOG_RATE", 200);
     detail::gMinLevel = static_cast<int>(minLevel);
-    detail::gEnabled = true;
+    sink().arm(mergedPath);
 }
 
 void
 disableLogging()
 {
-    LogState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    detail::gEnabled = false;
-    s.pending.clear();
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.mergedPath.clear();
-    s.shardDir.clear();
-    s.windows.clear();
+    sink().disarm();
 }
 
 void
 flushLog()
 {
-    LogState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (detail::gEnabled)
-        flushLocked(s, nowNs());
+    sink().flush();
 }
 
 std::string
 logPath()
 {
-    LogState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.mergedPath;
+    return sink().mergedPath();
 }
 
 LogMergeStats
 mergeLog()
 {
+    const ShardMergeStats merged =
+        sink().merge([](const json::Value &ev) {
+            return ev.find("level") && ev.find("msg");
+        });
     LogMergeStats stats;
-    LogState &s = state();
-    std::string mergedPath, shardDir;
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (!detail::gEnabled)
-            return stats;
-        flushLocked(s, nowNs());
-        mergedPath = s.mergedPath;
-        shardDir = s.shardDir;
-        if (s.fd >= 0)
-            ::close(s.fd);
-        s.fd = -1;
-        // Disarm before merging: the merge itself informs (bridged
-        // back here) and later atexit stragglers must not recreate
-        // the shard directory we are about to remove.
-        detail::gEnabled = false;
-    }
-
-    struct Line
-    {
-        double ts;
-        std::string text;
-    };
-    std::vector<Line> lines;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(shardDir, ec);
-    if (!ec) {
-        std::vector<std::filesystem::path> shards;
-        for (const auto &entry : it) {
-            const std::string base = entry.path().filename().string();
-            if (base.rfind("log.", 0) == 0)
-                shards.push_back(entry.path());
-        }
-        std::sort(shards.begin(), shards.end());
-        for (const auto &shard : shards) {
-            std::string content;
-            if (!readFile(shard.string(), content)) {
-                ++stats.tornShards;
-                continue;
-            }
-            size_t valid = 0;
-            size_t pos = 0;
-            while (pos < content.size()) {
-                size_t nl = content.find('\n', pos);
-                if (nl == std::string::npos)
-                    nl = content.size();
-                std::string line = content.substr(pos, nl - pos);
-                pos = nl + 1;
-                if (line.empty())
-                    continue;
-                json::Value ev;
-                // Count-and-skip, never corrupt: a line must parse
-                // as a complete event or it is a torn tail.
-                if (!json::parse(line, ev) || !ev.isObject() ||
-                    !ev.find("ts") ||
-                    ev.find("ts")->type !=
-                        json::Value::Type::Number ||
-                    !ev.find("level") || !ev.find("msg")) {
-                    ++stats.tornLines;
-                    continue;
-                }
-                lines.push_back(
-                    {ev.find("ts")->number, std::move(line)});
-                ++valid;
-            }
-            if (valid == 0)
-                ++stats.tornShards;
-            else
-                ++stats.shards;
-        }
-    }
-    std::stable_sort(lines.begin(), lines.end(),
-                     [](const Line &a, const Line &b) {
-                         return a.ts < b.ts;
-                     });
-    stats.lines = lines.size();
-
-    std::string out;
-    out.reserve(lines.size() * 160);
-    for (const Line &line : lines) {
-        out += line.text;
-        out += '\n';
-    }
-    const std::string tmp =
-        mergedPath + ".tmp." + std::to_string(::getpid());
-    FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        std::fprintf(stderr, "[warn] log: cannot write %s: %s\n",
-                     tmp.c_str(), std::strerror(errno));
-        return stats;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    if (std::rename(tmp.c_str(), mergedPath.c_str()) != 0) {
-        std::fprintf(stderr, "[warn] log: rename %s -> %s failed: %s\n",
-                     tmp.c_str(), mergedPath.c_str(),
-                     std::strerror(errno));
-        std::remove(tmp.c_str());
-        return stats;
-    }
-    std::filesystem::remove_all(shardDir, ec);
-
-    Metrics &metrics = Metrics::global();
-    metrics.counter("log.shards_merged").add(stats.shards);
-    metrics.counter("log.lines_merged").add(stats.lines);
-    if (stats.tornShards)
-        metrics.counter("log.shards_torn").add(stats.tornShards);
-    if (stats.tornLines)
-        metrics.counter("log.lines_torn").add(stats.tornLines);
+    stats.shards = merged.shards;
+    stats.lines = merged.lines;
+    stats.tornShards = merged.tornShards;
+    stats.tornLines = merged.tornLines;
     return stats;
 }
 

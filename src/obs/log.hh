@@ -4,12 +4,15 @@
  *
  * When XPS_LOG_JSON names a file (or configureLogging() is called),
  * every process of a run appends structured log events — one JSON
- * object per line — to a per-pid shard `<log>.shards/log.<pid>.jsonl`.
- * At exit the process that armed logging merges every shard into one
- * timestamp-sorted JSONL stream at XPS_LOG_JSON, validating each line
- * (obs/json.hh) and counting-and-skipping torn tails exactly like the
- * trace merger: a worker killed mid-write can tear at most its own
- * last line, never the merged output.
+ * object per line — to a per-pid shard `<log>.shards/log.<pid>.jsonl`
+ * through the tracer's shard sink (obs/shard.hh): at most 16 KB
+ * buffered, drained every ~250 ms. At exit the process that armed
+ * logging merges every shard into one timestamp-sorted JSONL stream
+ * at XPS_LOG_JSON, validating each line (obs/json.hh) and
+ * counting-and-skipping torn tails exactly like the trace merger: a
+ * worker killed mid-write can tear at most its own last line, never
+ * the merged output. Once a shard is unwritable every later event is
+ * dropped and counted in log.dropped_lines.
  *
  * Event schema (one line):
  *   {"ts": <monotonic µs, shared with the trace clock>,
@@ -34,9 +37,10 @@
  *
  * Knobs: XPS_LOG_JSON (merged path; arms logging), XPS_LOG_LEVEL
  * (debug|info|warn|error; default info), XPS_LOG_RATE (events per
- * component-level-second; default 200), XPS_LOG_MERGE (0 = shard-only:
- * flush at exit but never merge — for multi-process sessions where
- * another process owns the merge, e.g. xps-client against a daemon).
+ * component-level-second; default 200). XPS_TRACE_MERGE=0 (tracer.hh)
+ * makes the log shard-only too: flush at exit but never merge — for
+ * multi-process sessions where another process owns the merge, e.g.
+ * xps-client against a daemon.
  */
 
 #ifndef XPS_OBS_LOG_HH

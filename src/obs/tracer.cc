@@ -1,23 +1,17 @@
 #include "obs/tracer.hh"
 
-#include <fcntl.h>
-#include <pthread.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "obs/json.hh"
-#include "util/atomic_file.hh"
+#include "obs/shard.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -35,39 +29,31 @@ bool gEnabled = false;
 namespace
 {
 
-/** Unflushed events drain to the shard at this cadence even under
- *  light load, so a killed worker loses at most a recent tail. */
-constexpr uint64_t kFlushIntervalNs = 250ull * 1000 * 1000;
-
 uint64_t (*gClockFn)() = nullptr;
 
-/**
- * Per-process tracer state. Guarded by `mutex` except inside the
- * fork-child handler, which runs while the (single-threaded, by the
- * ProcPool contract) child owns the process outright.
- */
-struct TracerState
+ShardSink &
+sink()
 {
-    std::mutex mutex;
-    std::string mergedPath;
-    std::string shardDir;
-    std::string pending; ///< serialized JSONL not yet in the shard
-    size_t bufferBytes = 64 * 1024;
-    uint64_t lastFlushNs = 0;
-    int fd = -1;
-    pid_t originPid = 0; ///< the process that merges at exit
-    bool atexitArmed = false;
-    bool forkHookArmed = false;
-    bool writeFailed = false;
-    bool dropWarned = false;    ///< warn-once for dropped spans
-    bool suppressMerge = false; ///< XPS_TRACE_MERGE=0: shard-only
-};
+    static ShardSink *s = new ShardSink(ShardStream{
+        .name = "trace",
+        .prefix = "shard",
+        .bufferBytes = 64 * 1024,
+        .dropped = "trace.dropped_spans",
+        .merged = "trace.events_merged",
+        .head = "{\"traceEvents\":[\n",
+        .separator = ",",
+        .tail = "],\"displayTimeUnit\":\"ms\"}\n",
+        .armed = &detail::gEnabled,
+        .mergeAtExit = [] { mergeTrace(); },
+        .reset = nullptr,
+    });
+    return *s;
+}
 
 /**
  * The ambient request id, escaped once at set time. A leaf lock of
- * its own: the structured logger reads it from inside its emit path
- * (which may itself be reached from a warn() under the tracer
- * mutex), so it must never share the tracer's lock.
+ * its own: the structured logger reads it before taking its sink
+ * lock, and the tracer copies it before taking its own.
  */
 struct RidState
 {
@@ -83,29 +69,6 @@ ridState()
     return *r;
 }
 
-TracerState &
-state()
-{
-    static TracerState *s = new TracerState();
-    return *s;
-}
-
-std::atomic<uint32_t> gNextTid{0};
-
-uint32_t
-threadId()
-{
-    thread_local uint32_t tid =
-        gNextTid.fetch_add(1, std::memory_order_relaxed) + 1;
-    return tid;
-}
-
-std::string
-shardPathFor(const TracerState &s, pid_t pid)
-{
-    return s.shardDir + "/shard." + std::to_string(pid) + ".jsonl";
-}
-
 /** FNV-1a 64-bit: stable flow ids from request-id strings. */
 uint64_t
 fnv1a(const std::string &s)
@@ -118,95 +81,13 @@ fnv1a(const std::string &s)
     return h;
 }
 
-/** Buffered events that can no longer reach the shard are counted,
- *  never lost silently (trace.dropped_spans). Caller holds the
- *  tracer lock; the metrics mutex is a leaf below it. */
-void
-countDroppedLocked(const std::string &pending)
-{
-    const size_t lines = static_cast<size_t>(
-        std::count(pending.begin(), pending.end(), '\n'));
-    if (lines)
-        Metrics::global().counter("trace.dropped_spans").add(lines);
-}
-
-/** Write `pending` to this process's shard. Caller holds the lock. */
-void
-flushLocked(TracerState &s, uint64_t nowTsNs)
-{
-    s.lastFlushNs = nowTsNs;
-    if (s.pending.empty() || s.writeFailed)
-        return;
-    if (s.fd < 0) {
-        std::error_code ec;
-        std::filesystem::create_directories(s.shardDir, ec);
-        s.fd = ::open(shardPathFor(s, ::getpid()).c_str(),
-                      O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-        if (s.fd < 0) {
-            // Tracing must never take down the run: drop events,
-            // warn once, and stop trying.
-            warn("trace: cannot open shard %s: %s; dropping events "
-                 "(see trace.dropped_spans)",
-                 shardPathFor(s, ::getpid()).c_str(),
-                 std::strerror(errno));
-            s.writeFailed = true;
-            s.dropWarned = true;
-            countDroppedLocked(s.pending);
-            s.pending.clear();
-            return;
-        }
-    }
-    size_t off = 0;
-    while (off < s.pending.size()) {
-        const ssize_t n = ::write(s.fd, s.pending.data() + off,
-                                  s.pending.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("trace: shard write failed: %s; dropping events "
-                 "(see trace.dropped_spans)",
-                 std::strerror(errno));
-            s.writeFailed = true;
-            s.dropWarned = true;
-            countDroppedLocked(s.pending.substr(off));
-            break;
-        }
-        off += static_cast<size_t>(n);
-    }
-    s.pending.clear();
-}
-
-/**
- * In a freshly forked child the inherited shard fd and unflushed
- * events belong to the parent (which still holds them); writing
- * either from here would duplicate or interleave. Start clean: the
- * child gets its own shard on its first event. Registered via
- * pthread_atfork, so it also covers tests that fork() directly.
- */
-void
-childAfterFork()
-{
-    TracerState &s = state();
-    // No locking: the child is single-threaded by the fork contract
-    // of the worker pool, and the parent's mutex state is stale here.
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.pending.clear();
-    s.writeFailed = false;
-    s.dropWarned = false;
-}
-
 void
 appendEvent(const char *name, const char *cat, char ph,
             uint64_t tsNs, uint64_t durNs, bool hasDur,
             const std::string &args)
 {
-    TracerState &s = state();
-    // Copy the ambient rid before taking the tracer lock (and fully
-    // release the rid lock first): the warn path below runs under
-    // the tracer lock and re-reads the rid through the log bridge,
-    // so holding both here would invert the order.
+    // Copy the ambient rid before taking the sink lock, and fully
+    // release the rid lock first, so the two are never nested.
     std::string rid;
     {
         RidState &r = ridState();
@@ -233,60 +114,106 @@ appendEvent(const char *name, const char *cat, char ph,
             static_cast<int>(::getpid()), threadId());
     }
 
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (!detail::gEnabled)
-        return;
-    if (s.writeFailed) {
-        // The shard is gone (XPS_TRACE_BUFFER_KB ring cannot drain):
-        // count instead of dropping silently, and say so once.
-        Metrics::global().counter("trace.dropped_spans").add();
-        if (!s.dropWarned) {
-            s.dropWarned = true;
-            warn("trace: shard unwritable; dropping spans "
-                 "(see trace.dropped_spans)");
+    sink().append(tsNs, [&](std::string &out) {
+        out.append(head, static_cast<size_t>(head_len));
+        out.append(mid, static_cast<size_t>(mid_len));
+        if (!rid.empty()) {
+            out += ",\"rid\":\"";
+            out += rid;
+            out += "\"";
         }
-        return;
-    }
-    s.pending.append(head, static_cast<size_t>(head_len));
-    s.pending.append(mid, static_cast<size_t>(mid_len));
-    if (!rid.empty()) {
-        s.pending += ",\"rid\":\"";
-        s.pending += rid;
-        s.pending += "\"";
-    }
-    if (!args.empty()) {
-        s.pending += ",\"args\":";
-        s.pending += args;
-    }
-    s.pending += "}\n";
-    if (s.pending.size() >= s.bufferBytes ||
-        tsNs - s.lastFlushNs >= kFlushIntervalNs)
-        flushLocked(s, tsNs);
+        if (!args.empty()) {
+            out += ",\"args\":";
+            out += args;
+        }
+        out += "}\n";
+    });
 }
 
-void
-mergeAtExit()
+/** A point a request's flow binds to: the first rid-stamped span of
+ *  one (pid, tid). */
+struct FlowAnchor
 {
-    TracerState &s = state();
-    if (!detail::gEnabled)
+    double ts = 0;  ///< span start (µs)
+    double mid = 0; ///< span midpoint (µs) — inside the slice
+    int pid = 0;
+    int tid = 0;
+};
+
+/** rid -> (pid, tid) -> anchor. */
+using FlowAnchors =
+    std::map<std::string, std::map<std::pair<int, int>, FlowAnchor>>;
+
+/** Keep `ev` as its (pid, tid)'s anchor if it is the earliest
+ *  rid-stamped span seen there so far. */
+void
+noteFlowAnchor(const json::Value &ev, FlowAnchors &anchors)
+{
+    const json::Value *rid = ev.find("rid");
+    const json::Value *ph = ev.find("ph");
+    const json::Value *pid = ev.find("pid");
+    const json::Value *tid = ev.find("tid");
+    if (!rid || rid->type != json::Value::Type::String ||
+        rid->str.empty() || !ph || ph->type != json::Value::Type::String ||
+        ph->str != "X" || !pid ||
+        pid->type != json::Value::Type::Number || !tid ||
+        tid->type != json::Value::Type::Number)
         return;
-    if (::getpid() == s.originPid && !s.suppressMerge)
-        mergeTrace();
-    else
-        flushTrace(); // forked child / shard-only mode: keep spans
+    const json::Value *dur = ev.find("dur");
+    const double ts = ev.find("ts")->number;
+    const double durUs =
+        dur && dur->type == json::Value::Type::Number ? dur->number : 0;
+    const std::pair<int, int> key{static_cast<int>(pid->number),
+                                  static_cast<int>(tid->number)};
+    auto &anchor = anchors[rid->str];
+    auto found = anchor.find(key);
+    if (found == anchor.end() || ts < found->second.ts)
+        anchor[key] = {ts, ts + durUs / 2, key.first, key.second};
 }
 
-void
-armHooksLocked(TracerState &s)
+/**
+ * Generate Perfetto flow events per request id: bind the first
+ * rid-stamped span of each (pid, tid) into one arrowed chain
+ * ("s" -> "t"... -> "f"), anchored at span midpoints so every flow
+ * point lands inside its slice. A rid seen by only one (pid, tid)
+ * has nothing to connect. Returns the number of events added.
+ */
+size_t
+appendFlowEvents(const FlowAnchors &anchors, std::vector<ShardLine> &lines)
 {
-    if (!s.forkHookArmed) {
-        ::pthread_atfork(nullptr, nullptr, childAfterFork);
-        s.forkHookArmed = true;
+    size_t added = 0;
+    for (const auto &[rid, groups] : anchors) {
+        if (groups.size() < 2)
+            continue;
+        std::vector<FlowAnchor> chain;
+        chain.reserve(groups.size());
+        for (const auto &[key, anchor] : groups)
+            chain.push_back(anchor);
+        std::sort(chain.begin(), chain.end(),
+                  [](const FlowAnchor &a, const FlowAnchor &b) {
+                      return a.mid < b.mid;
+                  });
+        const std::string escaped = json::escape(rid);
+        char idHex[24];
+        std::snprintf(idHex, sizeof(idHex), "%016llx",
+                      static_cast<unsigned long long>(fnv1a(rid)));
+        for (size_t i = 0; i < chain.size(); ++i) {
+            const char ph =
+                i == 0 ? 's' : (i + 1 == chain.size() ? 'f' : 't');
+            char line[256];
+            const int n = std::snprintf(
+                line, sizeof(line),
+                "{\"name\":\"request\",\"cat\":\"flow\","
+                "\"ph\":\"%c\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d,"
+                "\"id\":\"0x%s\"%s,\"args\":{\"rid\":\"%s\"}}",
+                ph, chain[i].mid, chain[i].pid, chain[i].tid, idHex,
+                ph == 'f' ? ",\"bp\":\"e\"" : "", escaped.c_str());
+            lines.push_back(
+                {chain[i].mid, std::string(line, static_cast<size_t>(n))});
+            ++added;
+        }
     }
-    if (!s.atexitArmed) {
-        std::atexit(mergeAtExit);
-        s.atexitArmed = true;
-    }
+    return added;
 }
 
 /** Arm from the environment on program start-up, like the metrics
@@ -389,26 +316,9 @@ Args::key(const char *k)
 }
 
 void
-configureTracing(const std::string &mergedPath, uint64_t bufferKb)
+configureTracing(const std::string &mergedPath)
 {
-    TracerState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.mergedPath = mergedPath;
-    s.shardDir = mergedPath + ".shards";
-    s.pending.clear();
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.writeFailed = false;
-    if (bufferKb == 0)
-        bufferKb = envUInt("XPS_TRACE_BUFFER_KB", 64);
-    s.bufferBytes = std::max<uint64_t>(1, bufferKb) * 1024;
-    s.dropWarned = false;
-    s.suppressMerge = envUInt("XPS_TRACE_MERGE", 1) == 0;
-    s.originPid = ::getpid();
-    s.lastFlushNs = detail::nowNs();
-    armHooksLocked(s);
-    detail::gEnabled = true;
+    sink().arm(mergedPath);
     // Spans and latency histograms answer the same "where does time
     // go" question; an armed tracer implies the distributions too.
     Metrics::enableHistograms();
@@ -417,32 +327,19 @@ configureTracing(const std::string &mergedPath, uint64_t bufferKb)
 void
 disableTracing()
 {
-    TracerState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    detail::gEnabled = false;
-    s.pending.clear();
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.mergedPath.clear();
-    s.shardDir.clear();
+    sink().disarm();
 }
 
 void
 flushTrace()
 {
-    TracerState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (detail::gEnabled)
-        flushLocked(s, detail::nowNs());
+    sink().flush();
 }
 
 std::string
 tracePath()
 {
-    TracerState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.mergedPath;
+    return sink().mergedPath();
 }
 
 void
@@ -481,196 +378,28 @@ MergeStats
 mergeTrace()
 {
     MergeStats stats;
-    TracerState &s = state();
-    std::string mergedPath, shardDir;
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (!detail::gEnabled)
-            return stats;
-        flushLocked(s, detail::nowNs());
-        mergedPath = s.mergedPath;
-        shardDir = s.shardDir;
-        if (s.fd >= 0)
-            ::close(s.fd);
-        s.fd = -1;
-    }
-
-    // Collect every shard's valid events. A line that does not parse
-    // as a complete trace event — the torn tail of a killed writer —
-    // is skipped; a shard with no valid line at all is skipped whole.
-    struct Ev
-    {
-        double ts;
-        std::string line;
-    };
-    std::vector<Ev> events;
-    // First rid-stamped span of every (pid, tid): the anchor points
-    // the generated flow events bind to (DESIGN.md §14).
-    struct FlowAnchor
-    {
-        double ts = 0;  ///< span start (µs)
-        double mid = 0; ///< span midpoint (µs) — inside the slice
-        int pid = 0;
-        int tid = 0;
-    };
-    std::map<std::string, std::map<std::pair<int, int>, FlowAnchor>>
-        flowAnchors;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(shardDir, ec);
-    if (!ec) {
-        std::vector<std::filesystem::path> shards;
-        for (const auto &entry : it) {
-            const std::string base = entry.path().filename().string();
-            if (base.rfind("shard.", 0) == 0)
-                shards.push_back(entry.path());
-        }
-        std::sort(shards.begin(), shards.end());
-        for (const auto &shard : shards) {
-            std::string content;
-            if (!readFile(shard.string(), content)) {
-                ++stats.tornShards;
-                continue;
-            }
-            size_t valid = 0;
-            size_t pos = 0;
-            while (pos < content.size()) {
-                size_t nl = content.find('\n', pos);
-                if (nl == std::string::npos)
-                    nl = content.size();
-                std::string line = content.substr(pos, nl - pos);
-                pos = nl + 1;
-                if (line.empty())
-                    continue;
-                json::Value ev;
-                if (!json::parse(line, ev) || !ev.isObject() ||
-                    !ev.find("name") || !ev.find("ph") ||
-                    !ev.find("ts") ||
-                    ev.find("ts")->type !=
-                        json::Value::Type::Number) {
-                    ++stats.tornLines;
-                    continue;
-                }
-                const json::Value *rid = ev.find("rid");
-                const json::Value *ph = ev.find("ph");
-                const json::Value *pid = ev.find("pid");
-                const json::Value *tid = ev.find("tid");
-                if (rid && rid->type == json::Value::Type::String &&
-                    !rid->str.empty() && ph &&
-                    ph->type == json::Value::Type::String &&
-                    ph->str == "X" && pid &&
-                    pid->type == json::Value::Type::Number && tid &&
-                    tid->type == json::Value::Type::Number) {
-                    const json::Value *dur = ev.find("dur");
-                    const double ts = ev.find("ts")->number;
-                    const double durUs =
-                        dur && dur->type == json::Value::Type::Number
-                            ? dur->number
-                            : 0;
-                    const std::pair<int, int> key{
-                        static_cast<int>(pid->number),
-                        static_cast<int>(tid->number)};
-                    auto &anchor = flowAnchors[rid->str];
-                    auto found = anchor.find(key);
-                    if (found == anchor.end() ||
-                        ts < found->second.ts)
-                        anchor[key] = {ts, ts + durUs / 2, key.first,
-                                       key.second};
-                }
-                events.push_back(
-                    {ev.find("ts")->number, std::move(line)});
-                ++valid;
-            }
-            if (valid == 0)
-                ++stats.tornShards;
-            else
-                ++stats.shards;
-        }
-    }
-    // Generate Perfetto flow events per request id: bind the first
-    // rid-stamped span of each (pid, tid) into one arrowed chain
-    // ("s" -> "t"... -> "f"), anchored at span midpoints so every
-    // flow point lands inside its slice. A rid seen by only one
-    // (pid, tid) has nothing to connect.
-    for (const auto &[rid, groups] : flowAnchors) {
-        if (groups.size() < 2)
-            continue;
-        std::vector<FlowAnchor> chain;
-        chain.reserve(groups.size());
-        for (const auto &[key, anchor] : groups)
-            chain.push_back(anchor);
-        std::sort(chain.begin(), chain.end(),
-                  [](const FlowAnchor &a, const FlowAnchor &b) {
-                      return a.mid < b.mid;
-                  });
-        const std::string escaped = json::escape(rid);
-        char idHex[24];
-        std::snprintf(idHex, sizeof(idHex), "%016llx",
-                      static_cast<unsigned long long>(fnv1a(rid)));
-        for (size_t i = 0; i < chain.size(); ++i) {
-            const char ph =
-                i == 0 ? 's' : (i + 1 == chain.size() ? 'f' : 't');
-            char line[256];
-            const int n = std::snprintf(
-                line, sizeof(line),
-                "{\"name\":\"request\",\"cat\":\"flow\","
-                "\"ph\":\"%c\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d,"
-                "\"id\":\"0x%s\"%s,\"args\":{\"rid\":\"%s\"}}",
-                ph, chain[i].mid, chain[i].pid, chain[i].tid, idHex,
-                ph == 'f' ? ",\"bp\":\"e\"" : "", escaped.c_str());
-            events.push_back(
-                {chain[i].mid,
-                 std::string(line, static_cast<size_t>(n))});
-            ++stats.flowEvents;
-        }
-    }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const Ev &a, const Ev &b) {
-                         return a.ts < b.ts;
-                     });
-    stats.events = events.size();
-
-    // The merged file is written tmp + rename directly (not through
-    // atomicWriteFile, whose own io span would re-enter the tracer
-    // mid-merge).
-    std::string out;
-    out.reserve(events.size() * 128 + 64);
-    out += "{\"traceEvents\":[\n";
-    for (size_t i = 0; i < events.size(); ++i) {
-        out += events[i].line;
-        if (i + 1 < events.size())
-            out += ',';
-        out += '\n';
-    }
-    out += "],\"displayTimeUnit\":\"ms\"}\n";
-    const std::string tmp =
-        mergedPath + ".tmp." + std::to_string(::getpid());
-    FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("trace: cannot write %s: %s", tmp.c_str(),
-             std::strerror(errno));
+    FlowAnchors anchors;
+    const ShardMergeStats merged = sink().merge(
+        [&](const json::Value &ev) {
+            if (!ev.find("name") || !ev.find("ph"))
+                return false;
+            noteFlowAnchor(ev, anchors);
+            return true;
+        },
+        [&](std::vector<ShardLine> &lines) {
+            stats.flowEvents = appendFlowEvents(anchors, lines);
+        });
+    stats.shards = merged.shards;
+    stats.events = merged.lines;
+    stats.tornShards = merged.tornShards;
+    stats.tornLines = merged.tornLines;
+    if (!merged.published)
         return stats;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    if (std::rename(tmp.c_str(), mergedPath.c_str()) != 0) {
-        warn("trace: rename %s -> %s failed: %s", tmp.c_str(),
-             mergedPath.c_str(), std::strerror(errno));
-        std::remove(tmp.c_str());
-        return stats;
-    }
-    std::filesystem::remove_all(shardDir, ec);
-
-    Metrics &metrics = Metrics::global();
-    metrics.counter("trace.shards_merged").add(stats.shards);
-    metrics.counter("trace.events_merged").add(stats.events);
     if (stats.flowEvents)
-        metrics.counter("trace.flow_events").add(stats.flowEvents);
-    if (stats.tornShards)
-        metrics.counter("trace.shards_torn").add(stats.tornShards);
-    if (stats.tornLines)
-        metrics.counter("trace.lines_torn").add(stats.tornLines);
+        Metrics::global().counter("trace.flow_events").add(
+            stats.flowEvents);
     inform("trace: merged %zu events from %zu shards into %s%s",
-           stats.events, stats.shards, mergedPath.c_str(),
+           stats.events, stats.shards, tracePath().c_str(),
            stats.tornShards || stats.tornLines
                ? " (torn shards skipped)"
                : "");

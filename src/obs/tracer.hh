@@ -6,8 +6,9 @@
  * every process of a run records trace events — spans with a start
  * and a duration, instant events, and process-name metadata — into a
  * per-pid shard file `<trace>.shards/shard.<pid>.jsonl`, one JSON
- * event per line in the Chrome trace-event schema. At exit the
- * process that armed tracing merges every shard into one
+ * event per line in the Chrome trace-event schema, through the shard
+ * sink it shares with the structured logger (obs/shard.hh). At exit
+ * the process that armed tracing merges every shard into one
  * chrome://tracing / Perfetto-loadable timeline at XPS_TRACE_JSON,
  * sorted by timestamp and keyed by real pid/tid — a quarantined
  * worker's last flushed spans land next to the supervisor's kill and
@@ -33,18 +34,18 @@
  * process into one arrowed flow — a serve query is followable from
  * the client through the daemon into its forked worker.
  *
- * If the shard becomes unwritable, events are counted into the
- * trace.dropped_spans counter and a single warning is emitted —
- * tracing never takes down the run, but it never drops silently
- * either.
+ * If the shard becomes unwritable, one warning goes to stderr and
+ * every later event is counted into trace.dropped_spans — tracing
+ * never takes down the run, but it never drops silently either.
+ *
+ * Each process buffers up to 64 KB of events, drained at least every
+ * ~250 ms so a hung worker's recent spans reach its shard before the
+ * SIGKILL.
  *
  * Knobs: XPS_TRACE_JSON (merged output path; arms tracing),
- * XPS_TRACE_BUFFER_KB (per-process buffered bytes before a shard
- * flush, default 64; the buffer also drains on a ~250 ms cadence so
- * a hung worker's recent spans reach its shard before the SIGKILL),
- * XPS_TRACE_MERGE (0 = shard-only mode: flush at exit but never
- * merge — for processes like xps-client that join a trace owned by a
- * longer-lived daemon).
+ * XPS_TRACE_MERGE (0 = shard-only mode for this and the structured
+ * log: flush at exit but never merge — for processes like xps-client
+ * that join a session owned by a longer-lived daemon).
  */
 
 #ifndef XPS_OBS_TRACER_HH
@@ -206,11 +207,9 @@ struct MergeStats
  * Arm tracing programmatically (tools and tests; production arms from
  * XPS_TRACE_JSON at startup). Resets per-process buffers, points the
  * shard directory at `<mergedPath>.shards/`, and marks this process
- * as the merger-at-exit. `bufferKb` 0 means the XPS_TRACE_BUFFER_KB
- * default.
+ * as the merger-at-exit.
  */
-void configureTracing(const std::string &mergedPath,
-                      uint64_t bufferKb = 0);
+void configureTracing(const std::string &mergedPath);
 
 /** Disarm tracing and drop any unflushed events (tests). */
 void disableTracing();
@@ -225,6 +224,8 @@ void flushTrace();
  * merged timeline file and remove the shard directory. Torn shards
  * and torn lines are counted and skipped. Runs automatically at exit
  * in the process that armed tracing; exposed for tests and tools.
+ * Disarms tracing first, so post-merge stragglers cannot recreate
+ * shards.
  */
 MergeStats mergeTrace();
 

@@ -12,10 +12,10 @@
  *
  * Distributed tracing (DESIGN.md §14): when the request carries no
  * "rid", the client mints one and injects it, then stamps its own
- * client.request span with it. With XPS_TRACE_JSON set on both sides
- * (and XPS_TRACE_MERGE=0 here, so the daemon owns the merge), the
- * merged timeline links the client, daemon, and worker spans of this
- * request into one Perfetto flow.
+ * client.request span with it. With XPS_TRACE_JSON (and XPS_LOG_JSON)
+ * set on both sides, and XPS_TRACE_MERGE=0 here so the daemon owns
+ * the merge of both streams, the merged timeline links the client,
+ * daemon, and worker spans of this request into one Perfetto flow.
  *
  * `top` is the one-shot health view: daemon queue state, overload
  * ratio, and SLO percentiles rendered from the `metrics` op.

@@ -19,15 +19,6 @@ BatchSimulator::BatchSimulator(
 {
     if (!trace_)
         fatal("BatchSimulator: null trace buffer");
-    const uint64_t need =
-        opts_.measureInstrs + opts_.effectiveWarmup();
-    if (trace_->size() < need) {
-        fatal("BatchSimulator: trace '%s' holds %llu ops, batch "
-              "window needs >= %llu (request a longer sharedTrace())",
-              trace_->profileName().c_str(),
-              static_cast<unsigned long long>(trace_->size()),
-              static_cast<unsigned long long>(need));
-    }
     if (opts_.chunkInstrs == 0)
         opts_.chunkInstrs = opts_.measureInstrs;
     decoded_ = decodedTrace(trace_);

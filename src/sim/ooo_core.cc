@@ -698,11 +698,19 @@ OooCore::beginTraceRun(std::shared_ptr<const TraceBuffer> trace,
                           : decodedTrace(srcBuf_);
     src_ = DecodedSource{srcBuf_->ops().data(), srcDecoded_->meta(),
                          srcBuf_->size(), 0};
-    if (src_.size < warmup) {
-        panic("OooCore: trace '%s' holds %llu ops, warmup needs %llu",
+    // Fetch runs ahead of commit, so a run consumes up to a full ROB
+    // and fetch buffer past its commit target: reject a trace that
+    // would run dry mid-run before the first cycle.
+    const uint64_t need = warmup + measure + inFlightCapacity();
+    if (src_.size < need) {
+        fatal("OooCore: trace '%s' holds %llu ops; %llu warmup + %llu "
+              "measured instructions on this core need >= %llu "
+              "(request a longer sharedTrace())",
               srcBuf_->profileName().c_str(),
               static_cast<unsigned long long>(src_.size),
-              static_cast<unsigned long long>(warmup));
+              static_cast<unsigned long long>(warmup),
+              static_cast<unsigned long long>(measure),
+              static_cast<unsigned long long>(need));
     }
 
     // Replay never consults the live predictor (predictions are baked

@@ -136,8 +136,10 @@ class OooCore
     // --- resumable trace-replay API (the batched path) ---
 
     /**
-     * Reset and warm the machine for a trace-replay run. `decoded`
-     * may be null (looked up / built via decodedTrace()). When
+     * Reset and warm the machine for a trace-replay run; fatal if the
+     * trace holds fewer than warmup + measure + inFlightCapacity()
+     * ops. `decoded` may be null (looked up / built via
+     * decodedTrace()). When
      * `warm_state` is non-null it must be a hierarchy of identical
      * geometry holding the post-warmup cache state for this exact
      * (trace, warmup) window; it is adopted by copy and the warmup
@@ -167,6 +169,15 @@ class OooCore
      *  committedSoFar() fewer cycles means higher partial IPC — the
      *  ranking key of the batch screen (sim/batch.hh). */
     uint64_t cyclesSoFar() const { return cycle_; }
+
+    /** Ops fetched but not yet committed, at most: the ROB plus the
+     *  fetch buffer. A trace run needs this many ops past its
+     *  warmup + measurement window. */
+    uint64_t
+    inFlightCapacity() const
+    {
+        return cfg_.robSize + fetchBufCap_;
+    }
 
     /** Post-warmup hierarchy state (valid between beginTraceRun and
      *  the first advance): the shareable warm state. */

@@ -75,13 +75,6 @@ simulate(const WorkloadProfile &profile, const CoreConfig &config,
                   profile.name.c_str(),
                   static_cast<unsigned long long>(opts.streamId));
         }
-        if (trace.size() < opts.traceOps()) {
-            fatal("simulate: trace '%s' holds %llu ops, run needs "
-                  ">= %llu (request a longer sharedTrace())",
-                  trace.profileName().c_str(),
-                  static_cast<unsigned long long>(trace.size()),
-                  static_cast<unsigned long long>(opts.traceOps()));
-        }
         return core.run(opts.trace, opts.measureInstrs,
                         opts.effectiveWarmup());
     }

@@ -36,9 +36,11 @@ struct SimOptions
      * the stream is replayed from the shared buffer instead of being
      * regenerated — bit-identical results, an order of magnitude less
      * per-evaluation work. The buffer must match (profile, streamId)
-     * and hold at least measure + warmup ops (sharedTrace() sizes it
-     * with slack); otherwise streaming generation is the fallback by
-     * simply leaving this null.
+     * and hold traceOps() plus the core's in-flight capacity
+     * (OooCore::inFlightCapacity(): its ROB and fetch buffer, at most
+     * 1 224 ops in the search space), or the run is fatal before its
+     * first cycle; sharedTrace(profile, streamId, traceOps()) adds
+     * that slack. Leave it null to generate the stream instead.
      */
     std::shared_ptr<const TraceBuffer> trace;
 
@@ -61,8 +63,8 @@ struct SimOptions
                                           : warmupInstrs;
     }
 
-    /** Micro-ops a trace must hold for this run (excluding the
-     *  in-flight slack the registry adds on top). */
+    /** Micro-ops the run commits or warms up on: a trace holds this
+     *  plus the core's in-flight capacity (see `trace`). */
     uint64_t
     traceOps() const
     {

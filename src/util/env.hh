@@ -68,13 +68,11 @@
  *                        Perfetto-loadable timeline at this path at
  *                        exit; disabled tracing costs one predicted
  *                        branch per instrumentation point
- *   XPS_TRACE_BUFFER_KB  per-process buffered trace bytes before a
- *                        shard flush (default 64); the buffer also
- *                        drains on a ~250 ms cadence
- *   XPS_TRACE_MERGE      0 = shard-only mode: flush at exit but never
- *                        merge — for processes (xps-client, forked
- *                        workers) joining a trace whose merge a
- *                        longer-lived daemon owns (default 1)
+ *   XPS_TRACE_MERGE      0 = shard-only mode for the trace and the
+ *                        structured log (obs/shard.hh): flush at exit
+ *                        but never merge — for a process (xps-client)
+ *                        joining a session whose merge a longer-lived
+ *                        daemon owns (default 1)
  *   XPS_LOG_JSON         when set, arm structured JSON logging
  *                        (obs/log.hh) and merge every process's log
  *                        shard into one ts-sorted JSONL stream at
@@ -84,8 +82,6 @@
  *   XPS_LOG_RATE         max structured log events per (component,
  *                        level) per second; excess is counted and
  *                        summarized (default 200, 0 = unlimited)
- *   XPS_LOG_MERGE        0 = shard-only mode, mirroring
- *                        XPS_TRACE_MERGE (default 1)
  *   XPS_METRICS_EXPORT_S cadence in seconds (double; fractions ok)
  *                        for the serve daemon's atomic Prometheus
  *                        text-exposition snapshot at

@@ -184,8 +184,10 @@ TEST(BatchSimulator, DuplicatesAndMemoShareResults)
         expectStatsEqual(first[i], again[i], "memo replay");
 }
 
-// The frontier walk at width 1 with no screening is the scalar walk:
-// same RNG consumption order, same decisions, same incumbent.
+// A plain objective walks as a width-1 frontier of trusted scores. Its
+// trajectory is pinned to the classic one-proposal-per-step walk it
+// replaced (values of that walk, 120 iterations, seed 99), and an
+// explicit unscreened width-1 frontier retraces it exactly.
 TEST(Annealer, FrontierWidthOneMatchesScalar)
 {
     static const UnitTiming timing;
@@ -202,6 +204,25 @@ TEST(Annealer, FrontierWidthOneMatchesScalar)
 
     const Annealer scalar(space, objective, params);
     const AnnealResult a = scalar.run(CoreConfig::initial());
+    const std::vector<std::pair<uint64_t, double>> kScalarTrace = {
+        {0, 0x1.4b5b6a4f503e8p+3},   {9, 0x1.3decc20d8d678p+4},
+        {33, 0x1.45333dcaab543p+4},  {40, 0x1.517f3e3dcbd21p+4},
+        {42, 0x1.5aca44719ffa8p+4},  {44, 0x1.97d7c2575447dp+4},
+        {46, 0x1.97dbdaeac9044p+4},  {51, 0x1.a7bf2148bee16p+4},
+        {56, 0x1.a7c339dc339dcp+4},  {65, 0x1.e8cda1ecda1ecp+4},
+        {68, 0x1.f97af7af7af7ap+4},  {69, 0x1.06cba441cba44p+5},
+        {70, 0x1.2570b1b5c6071p+5},  {71, 0x1.4fc4ac4ac4ac5p+5},
+        {74, 0x1.4fc8c4de3968cp+5},  {75, 0x1.5c7b900aec33fp+5},
+        {80, 0x1.5c7fa89e60f05p+5},  {92, 0x1.8b49502edee52p+5},
+        {94, 0x1.8b4b5c7899435p+5},  {106, 0x1.9767c7fd5534ep+5},
+        {109, 0x1.9bb994d36b301p+5}, {110, 0x1.d0b47ec93f1bbp+5},
+        {111, 0x1.d0b68b12f979ep+5}, {115, 0x1.d0d208a5a912fp+5},
+        {117, 0x1.e7877f334281fp+5}, {118, 0x1.e78b97c6b73e5p+5},
+    };
+    EXPECT_EQ(a.bestScore, 0x1.e78b97c6b73e5p+5);
+    EXPECT_EQ(a.evaluations, 121u);
+    EXPECT_EQ(a.accepted, 93u);
+    EXPECT_EQ(a.improvementTrace, kScalarTrace);
 
     Annealer frontier(space, objective, params);
     frontier.setFrontier(

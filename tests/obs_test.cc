@@ -2,11 +2,13 @@
  * @file
  * The observability battery (`ctest -L obs`, DESIGN.md §10): the
  * obs/json reader's closed-world guarantees, log-scaled histogram
- * bucketing and quantiles, deterministic tracer output under a fixed
- * clock shim, shard merging across interleaved pids, torn-shard and
- * torn-line skipping, the checkpoint.write fault-injection scenario
- * (a supervised traced exploration survives an injected worker crash
- * and still merges a valid multi-process timeline), the forked-worker
+ * bucketing and quantiles, byte-exact tracer and logger output under
+ * a fixed clock shim, shard merging across interleaved pids and
+ * concurrent threads, torn-shard and torn-line skipping, drop
+ * counting on an unwritable shard, the checkpoint.write
+ * fault-injection scenario (a supervised traced exploration survives
+ * an injected worker crash and still merges a valid multi-process
+ * timeline), the forked-worker
  * metrics-dump suppression regression, and the xps-report renderer.
  */
 
@@ -16,16 +18,19 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "explore/explorer.hh"
 #include "obs/json.hh"
 #include "obs/log.hh"
 #include "obs/report.hh"
+#include "obs/shard.hh"
 #include "obs/tracer.hh"
 #include "util/atomic_file.hh"
 #include "util/env.hh"
@@ -81,6 +86,19 @@ loadMergedEvents(const std::string &path)
     const obs::json::Value *events = root.find("traceEvents");
     EXPECT_NE(events, nullptr);
     return events ? events->items : std::vector<obs::json::Value>{};
+}
+
+/** `text` with every "@IDS" replaced by this process's and this
+ *  thread's "pid":N,"tid":N, as the shard sink writes them. */
+std::string
+withIds(std::string text)
+{
+    const std::string ids = "\"pid\":" + std::to_string(::getpid()) +
+                            ",\"tid\":" + std::to_string(obs::threadId());
+    for (size_t at = text.find("@IDS"); at != std::string::npos;
+         at = text.find("@IDS", at + ids.size()))
+        text.replace(at, 4, ids);
+    return text;
 }
 
 std::string
@@ -246,6 +264,12 @@ TEST(Tracer, DeterministicUnderFixedClockAndValidJson)
     const std::string first = runOnce(dir + "/a.json");
     const std::string second = runOnce(dir + "/b.json");
     EXPECT_EQ(first, second); // fixed clock => byte-identical output
+    // The exact bytes xps-report and the benchmark's span parser read.
+    EXPECT_EQ(first, withIds(R"({"traceEvents":[
+{"name":"alpha","cat":"test","ph":"X","ts":2.000,"dur":2.000,@IDS,"args":{"k":1,"s":"v"}},
+{"name":"tick","cat":"test","ph":"i","ts":3.000,"s":"t",@IDS,"args":{"n":2.5}}
+],"displayTimeUnit":"ms"}
+)"));
 
     const std::vector<obs::json::Value> events =
         loadMergedEvents(dir + "/a.json");
@@ -638,6 +662,10 @@ TEST(ObsLog, MergeIsDeterministicAndSchemaComplete)
     const std::string first = runOnce(dir + "/a.jsonl");
     const std::string second = runOnce(dir + "/b.jsonl");
     EXPECT_EQ(first, second); // fixed clock => byte-identical stream
+    EXPECT_EQ(first, withIds(R"({"ts":2.000,"level":"debug","component":"serve","msg":"queued",@IDS}
+{"ts":3.000,"level":"info","component":"serve","msg":"job completed",@IDS,"rid":"r-77","fields":{"op":"explore","ms":12.5}}
+{"ts":4.000,"level":"error","component":"pool","msg":"worker died",@IDS}
+)"));
 
     const std::vector<obs::json::Value> events =
         loadMergedLog(dir + "/a.jsonl");
@@ -756,21 +784,80 @@ TEST(ObsLog, RateLimitSuppressesAndSummarizes)
 
 TEST(Tracer, DroppedSpansCountedWhenShardUnwritable)
 {
-    const std::string dir = freshDir("drop");
-    // The shard directory path collides with a regular file, so the
-    // shard can never open: events must be counted, never lost
-    // silently, and the process must carry on.
-    writeRaw(dir + "/blocker", "not a directory");
-    const uint64_t dropped0 =
-        Metrics::global().counter("trace.dropped_spans").get();
-    obs::configureTracing(dir + "/blocker/trace.json");
-    obs::instant("doomed", "test");
-    obs::flushTrace();
-    obs::instant("doomed2", "test");
+    // Both streams, one sink: once the shard fails, every later event
+    // is dropped and counted one for one, never buffered.
+    struct Stream
+    {
+        const char *counter;
+        std::function<void(const std::string &)> configure;
+        std::function<void()> record, flush, disable;
+    };
+    const Stream streams[] = {
+        {"trace.dropped_spans",
+         [](const std::string &path) { obs::configureTracing(path); },
+         [] { obs::instant("doomed", "test"); }, obs::flushTrace,
+         obs::disableTracing},
+        {"log.dropped_lines",
+         [](const std::string &path) { obs::log::configureLogging(path); },
+         [] {
+             obs::log::event(obs::log::Level::Info, "test", "doomed");
+         },
+         obs::log::flushLog, obs::log::disableLogging},
+    };
+    for (const Stream &stream : streams) {
+        SCOPED_TRACE(stream.counter);
+        const std::string dir = freshDir("drop");
+        // The shard directory path collides with a regular file, so
+        // the shard can never open: the process must carry on.
+        writeRaw(dir + "/blocker", "not a directory");
+        Counter &dropped = Metrics::global().counter(stream.counter);
+        const uint64_t dropped0 = dropped.get();
+        stream.configure(dir + "/blocker/out.json");
+        stream.record();
+        stream.flush();
+        EXPECT_EQ(dropped.get() - dropped0, 1u);
+        for (uint64_t i = 1; i <= 1000; ++i) {
+            stream.record();
+            ASSERT_EQ(dropped.get() - dropped0, 1u + i);
+        }
+        stream.disable();
+        std::filesystem::remove_all(dir);
+    }
+}
+
+// Threads of one process share each stream's sink: every event of
+// every thread reaches the merged output whole, exactly once.
+TEST(ObsShard, ConcurrentWritersMergeEveryEventOnce)
+{
+    const std::string dir = freshDir("concurrent");
+    obs::configureTracing(dir + "/trace.json");
+    obs::log::configureLogging(dir + "/log.jsonl",
+                               obs::log::Level::Info, 1000000);
+    constexpr size_t kThreads = 4, kEvents = 2000;
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([] {
+            for (size_t i = 0; i < kEvents; ++i) {
+                obs::ScopedSpan span("work", "test");
+                obs::log::event(obs::log::Level::Info, "test", "step");
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    // The log first: the trace merge reports itself through the log.
+    const obs::log::LogMergeStats log = obs::log::mergeLog();
+    const obs::MergeStats trace = obs::mergeTrace();
+    obs::log::disableLogging();
     obs::disableTracing();
-    EXPECT_GE(Metrics::global().counter("trace.dropped_spans").get() -
-                  dropped0,
-              2u);
+    EXPECT_EQ(log.lines, kThreads * kEvents);
+    EXPECT_EQ(log.tornLines, 0u);
+    EXPECT_EQ(trace.events, kThreads * kEvents);
+    EXPECT_EQ(trace.tornLines, 0u);
+    std::set<int> tids;
+    for (const auto &ev : loadMergedEvents(dir + "/trace.json"))
+        tids.insert(static_cast<int>(ev.numberOr("tid", 0)));
+    EXPECT_EQ(tids.size(), kThreads);
     std::filesystem::remove_all(dir);
 }
 
@@ -805,6 +892,19 @@ TEST(Tracer, FlowEventsLinkRidStampedSpansAcrossPids)
     EXPECT_EQ(stats.shards, 3u);
     EXPECT_EQ(stats.flowEvents, 3u);
     EXPECT_EQ(stats.events, 7u); // 4 originals + s/t/f
+    // The exact bytes xps-report and the benchmark's span parser read.
+    std::string merged;
+    EXPECT_TRUE(readFile(path, merged));
+    EXPECT_EQ(merged, R"json({"traceEvents":[
+{"name":"bystander","cat":"t","ph":"X","ts":0.500,"dur":0.500,"pid":200,"tid":1},
+{"name":"client.request","cat":"client","ph":"X","ts":1.000,"dur":2.000,"pid":100,"tid":1,"rid":"r-42"},
+{"name":"request","cat":"flow","ph":"s","ts":2.000,"pid":100,"tid":1,"id":"0x6358e136648e0358","args":{"rid":"r-42"}},
+{"name":"serve.job","cat":"serve","ph":"X","ts":3.000,"dur":4.000,"pid":200,"tid":1,"rid":"r-42"},
+{"name":"pool.job","cat":"pool","ph":"X","ts":5.000,"dur":2.000,"pid":300,"tid":1,"rid":"r-42"},
+{"name":"request","cat":"flow","ph":"t","ts":5.000,"pid":200,"tid":1,"id":"0x6358e136648e0358","args":{"rid":"r-42"}},
+{"name":"request","cat":"flow","ph":"f","ts":6.000,"pid":300,"tid":1,"id":"0x6358e136648e0358","bp":"e","args":{"rid":"r-42"}}
+],"displayTimeUnit":"ms"}
+)json");
 
     std::vector<obs::json::Value> flows;
     std::set<std::string> ids;

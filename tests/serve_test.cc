@@ -727,14 +727,15 @@ histIn(const obs::json::Value &v, const char *name, const char *field)
 }
 
 /**
- * Run the production xps-client against `sock` with tracing armed in
- * shard-only mode (XPS_TRACE_MERGE=0): the client contributes its
- * shard to the daemon-owned trace and the daemon merges at exit.
- * Returns the client's exit code (-1 on abnormal death).
+ * Run the production xps-client against `sock` with tracing and
+ * structured logging armed on the daemon's paths, shard-only for both
+ * streams (XPS_TRACE_MERGE=0): the client contributes its shards and
+ * the daemon merges both at exit. Returns the client's exit code (-1
+ * on abnormal death).
  */
 int
 runTracedClient(const std::string &sock, const std::string &dir,
-                const std::string &tracePath,
+                const std::string &tracePath, const std::string &logPath,
                 const std::string &request)
 {
     const pid_t pid = ::fork();
@@ -742,6 +743,7 @@ runTracedClient(const std::string &sock, const std::string &dir,
         ::setenv("XPS_RESULTS_DIR", dir.c_str(), 1);
         ::setenv("XPS_SERVE_SOCKET", sock.c_str(), 1);
         ::setenv("XPS_TRACE_JSON", tracePath.c_str(), 1);
+        ::setenv("XPS_LOG_JSON", logPath.c_str(), 1);
         ::setenv("XPS_TRACE_MERGE", "0", 1);
         ::unsetenv("XPS_METRICS_JSON");
         ::unsetenv("XPS_FAULTS");
@@ -860,15 +862,26 @@ TEST(ServeTrace, ExploreRequestFlowsClientToDaemonToWorker)
     d.flags = {"--workers", "1"};
     d.env = {{"XPS_TRACE_JSON", trace}, {"XPS_LOG_JSON", log}};
     d.start();
+    // A log shard the daemon's session already holds (a hand-written
+    // one, so it exists whatever the daemon has flushed by now).
+    const std::string sentinel = log + ".shards/log.1.jsonl";
+    fs::create_directories(log + ".shards");
+    std::ofstream(sentinel)
+        << "{\"ts\":0.5,\"level\":\"info\",\"component\":\"test\","
+           "\"msg\":\"sentinel\",\"pid\":1,\"tid\":1}\n";
 
     const int rc = runTracedClient(
-        d.sock, dir, trace,
+        d.sock, dir, trace, log,
         "{\"op\":\"explore\",\"id\":\"e1\",\"workloads\":[\"gzip\"],"
         "\"instrs\":3000,\"sa_iters\":16,\"rounds\":1,\"seed\":3}");
     EXPECT_EQ(rc, 0) << "xps-client failed; see " << dir
                      << "/client.log";
+    // One merge knob for both streams: the exiting client published
+    // no merged log and left the daemon's log shards alone.
+    EXPECT_FALSE(fs::exists(log)) << "the client merged the log";
+    EXPECT_TRUE(fs::exists(sentinel)) << "the client removed " << sentinel;
 
-    d.stopGracefully(); // the daemon owns the merge, at exit
+    d.stopGracefully(); // the daemon owns both merges, at exit
 
     std::ifstream in(trace);
     std::string content((std::istreambuf_iterator<char>(in)),
@@ -920,7 +933,7 @@ TEST(ServeTrace, ExploreRequestFlowsClientToDaemonToWorker)
     std::string logContent((std::istreambuf_iterator<char>(logIn)),
                            std::istreambuf_iterator<char>());
     ASSERT_FALSE(logContent.empty()) << "no merged log at " << log;
-    bool sawCompletion = false;
+    bool sawCompletion = false, sawSentinel = false;
     std::istringstream lines(logContent);
     std::string line;
     while (std::getline(lines, line)) {
@@ -929,9 +942,12 @@ TEST(ServeTrace, ExploreRequestFlowsClientToDaemonToWorker)
         if (ev.stringOr("msg", "") == "job completed" &&
             ev.stringOr("rid", "") == rid)
             sawCompletion = true;
+        if (ev.stringOr("msg", "") == "sentinel")
+            sawSentinel = true;
     }
     EXPECT_TRUE(sawCompletion)
         << "no rid-stamped completion event in " << log;
+    EXPECT_TRUE(sawSentinel) << "the daemon's merge lost a shard";
     fs::remove_all(dir);
 }
 

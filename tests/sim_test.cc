@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/area_power.hh"
+#include "sim/batch.hh"
 #include "sim/cache.hh"
 #include "sim/config.hh"
 #include "sim/ooo_core.hh"
@@ -505,6 +506,46 @@ TEST(TraceReplayDeathTest, MismatchedTraceIsFatal)
                              opts.traceOps());
     EXPECT_EXIT(simulate(profileByName("gcc"), CoreConfig::initial(),
                          opts),
+                testing::ExitedWithCode(1), "trace");
+}
+
+// A trace of exactly measure + warmup ops runs dry while the core
+// still fetches ahead of commit. Both entry points reject it before
+// the first cycle with a fatal error instead of a mid-run panic.
+TEST(TraceReplayDeathTest, TooShortTraceIsFatalInSimulate)
+{
+    const WorkloadProfile &gcc = profileByName("gcc");
+    SimOptions opts;
+    opts.measureInstrs = 5000;
+    opts.trace = std::make_shared<const TraceBuffer>(gcc, opts.streamId,
+                                                     opts.traceOps());
+    EXPECT_EXIT(simulate(gcc, CoreConfig::initial(), opts),
+                testing::ExitedWithCode(1), "trace");
+}
+
+TEST(TraceReplayDeathTest, TooShortTraceIsFatalInBatchSimulator)
+{
+    BatchOptions opts;
+    opts.measureInstrs = 5000;
+    const auto trace = std::make_shared<const TraceBuffer>(
+        profileByName("gcc"), 0, 10000);
+    EXPECT_EXIT(BatchSimulator(trace, opts).evaluate(
+                    {CoreConfig::initial()}),
+                testing::ExitedWithCode(1), "trace");
+}
+
+// The bound is exact: a trace of warmup + measure + the in-flight
+// capacity runs to completion, one op fewer is rejected.
+TEST(TraceReplayDeathTest, InFlightCapacityBoundIsExact)
+{
+    const WorkloadProfile &gcc = profileByName("gcc");
+    OooCore core(CoreConfig::initial());
+    const uint64_t ops = 2 * 5000 + core.inFlightCapacity();
+    const auto exact = std::make_shared<const TraceBuffer>(gcc, 0, ops);
+    EXPECT_EQ(core.run(exact, 5000, 5000).instructions, 5000u);
+    const auto shortByOne =
+        std::make_shared<const TraceBuffer>(gcc, 0, ops - 1);
+    EXPECT_EXIT(core.run(shortByOne, 5000, 5000),
                 testing::ExitedWithCode(1), "trace");
 }
 

@@ -360,15 +360,26 @@ TEST(ProcPool, WakeFdsReportWorkerExitWithinOnePoll)
     ProcPoolOptions opts = fastPool(1);
     opts.heartbeatTimeoutSeconds = 30.0;
     ProcPool pool(opts);
+    // The worker waits for a byte on `gate` before it finishes, so it
+    // is still alive when wakeFds() is read: a worker that exits
+    // within the forking poll(0) is reaped there already.
+    int gate[2];
+    ASSERT_EQ(::pipe(gate), 0);
     ProcJob job;
     job.name = "wake";
-    job.run = [] {
+    job.run = [&gate] {
+        char go = 0;
+        if (::read(gate[0], &go, 1) != 1)
+            return 1;
         Metrics::global().counter("wake.probe").add(3);
         return 0;
     };
     const uint64_t ticket = pool.submit(job);
     pool.poll(0); // forks the worker
     const std::vector<int> wake = pool.wakeFds();
+    ::close(gate[0]);
+    ASSERT_EQ(::write(gate[1], "x", 1), 1);
+    ::close(gate[1]);
     ASSERT_EQ(wake.size(), 1u);
 
     // No events requested: poll(2) returns on the hang-up alone, which
