@@ -76,8 +76,7 @@ runDifferentialCaseImpl(const PropCase &c, bool batched)
     {
         OooCore core(c.config);
         core.setChecker(&checker);
-        TraceCursor cursor(buffer);
-        r.ooo = core.run(cursor, c.measureInstrs, c.warmupInstrs);
+        r.ooo = core.run(buffer, c.measureInstrs, c.warmupInstrs);
     }
     {
         ReferenceCore oracle(c.config);

@@ -187,10 +187,8 @@ computeContext()
         opts.threads = budget.threads;
         opts.finalEvalInstrs = budget.finalInstrs;
         opts.checkpointEvery = budget.checkpointEvery;
-        if (budget.supervise) {
-            opts.supervised = true;
-            opts.supervisorOpts = SupervisorOptions::fromEnv();
-        }
+        opts.supervised = budget.supervise;
+        opts.supervisorOpts = SupervisorOptions::fromEnv();
         Explorer explorer(ctx.suite, opts);
         const auto results = explorer.exploreAll();
         for (const auto &r : results)
@@ -214,30 +212,28 @@ computeContext()
                ctx.suite.size(), ctx.suite.size(),
                static_cast<unsigned long long>(budget.finalInstrs));
         ScopedTimer timer("pipeline.matrix_seconds");
-        if (budget.supervise) {
-            Supervisor supervisor(SupervisorOptions::fromEnv());
-            std::vector<std::string> missing;
-            ctx.matrix = PerfMatrix::buildSupervised(
-                ctx.suite, ctx.configs, budget.finalInstrs,
-                supervisor, &missing);
+        SupervisorOptions sup_opts = SupervisorOptions::fromEnv();
+        if (!budget.supervise)
+            sup_opts.backend = SupervisorOptions::Backend::Threads;
+        Supervisor supervisor(sup_opts);
+        const std::string partial =
+            budget.checkpointEvery > 0
+                ? budget.resultsDir + "/checkpoints/table5_matrix.partial"
+                : std::string();
+        std::vector<std::string> missing;
+        ctx.matrix = PerfMatrix::build(ctx.suite, ctx.configs,
+                                       budget.finalInstrs, supervisor,
+                                       partial, &missing);
+        if (budget.supervise)
             supervisor.writeReport(budget.resultsDir +
                                    "/matrix_supervisor_report.json");
-            if (!missing.empty()) {
-                // A degraded matrix (NaN rows) must not poison the
-                // result cache; rerun without the faulty rows'
-                // failures to fill it.
-                warn("matrix degraded (%zu quarantined rows); "
-                     "not caching", missing.size());
-                return ctx;
-            }
-        } else {
-            const std::string partial = budget.checkpointEvery > 0
-                ? budget.resultsDir +
-                      "/checkpoints/table5_matrix.partial"
-                : std::string();
-            ctx.matrix = PerfMatrix::build(ctx.suite, ctx.configs,
-                                           budget.finalInstrs,
-                                           budget.threads, partial);
+        if (!missing.empty()) {
+            // A degraded matrix (NaN rows) must not poison the result
+            // cache; a rerun resumes from the partial file and fills
+            // the missing rows.
+            warn("matrix degraded (%zu quarantined rows); not caching",
+                 missing.size());
+            return ctx;
         }
         storeTable5Cache(ctx.suite, ctx.configs, ctx.matrix);
         inform("cached cross-configuration matrix at %s",

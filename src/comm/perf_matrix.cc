@@ -4,8 +4,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
-#include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "explore/checkpoint.hh"
 #include "explore/supervisor.hh"
@@ -15,7 +15,6 @@
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
-#include "util/parallel.hh"
 #include "util/procpool.hh"
 #include "util/table.hh"
 #include "workload/trace.hh"
@@ -27,40 +26,35 @@ namespace
 {
 
 constexpr const char *kPartialMagic = "xps-matrix-partial v1";
-constexpr const char *kRowMagic = "xps-matrix-row v1";
+constexpr const char *kCellsMagic = "xps-matrix-row v1";
 
-/** Serialize one finished row as a supervised worker result file:
- *  magic, identity manifest, then exactly n `cell` lines. */
-std::string
-serializeMatrixRow(size_t w, const std::vector<double> &row,
-                   const CsvManifest &identity)
+using Cell = std::pair<size_t, size_t>; // (workload row, config column)
+
+/** Write `magic` and the identity manifest as `m key=value` lines up
+ *  to `endm` — the header of both the partial file and a payload. */
+void
+writeHeader(std::ostream &out, const char *magic,
+            const CsvManifest &identity)
 {
-    std::ostringstream out;
-    out << kRowMagic << '\n';
+    out << magic << '\n';
     for (const auto &[key, value] : identity.entries)
         out << "m " << key << '=' << value << '\n';
     out << "endm\n";
-    for (size_t c = 0; c < row.size(); ++c)
-        out << "cell " << w << ' ' << c << ' '
-            << formatHexDouble(row[c]) << '\n';
-    return out.str();
 }
 
-/** Strict inverse of serializeMatrixRow: every cell of row `w` must
- *  be present exactly once under a matching manifest, else false —
- *  the supervisor then treats the attempt as failed and retries. */
+/** Read a header written by writeHeader; true when it carries `magic`
+ *  and exactly `identity`. */
 bool
-parseMatrixRow(const std::string &content, size_t w, size_t n,
-               const CsvManifest &identity, std::vector<double> &row)
+readHeader(std::istream &in, const char *magic,
+           const CsvManifest &identity)
 {
-    std::istringstream in(content);
     std::string line;
-    if (!std::getline(in, line) || line != kRowMagic)
+    if (!std::getline(in, line) || line != magic)
         return false;
     CsvManifest found;
     while (std::getline(in, line)) {
         if (line == "endm")
-            break;
+            return found == identity;
         if (line.rfind("m ", 0) != 0)
             return false;
         const size_t eq = line.find('=', 2);
@@ -69,29 +63,89 @@ parseMatrixRow(const std::string &content, size_t w, size_t n,
         found.entries.emplace_back(line.substr(2, eq - 2),
                                    line.substr(eq + 1));
     }
-    if (!(found == identity))
+    return false; // no endm: torn inside the header
+}
+
+std::string
+cellLine(const Cell &cell, double ipt)
+{
+    return "cell " + std::to_string(cell.first) + ' ' +
+           std::to_string(cell.second) + ' ' + formatHexDouble(ipt) +
+           '\n';
+}
+
+/** Parse one `cell w c <hexfloat>` line with w, c < n. */
+bool
+parseCellLine(const std::string &line, size_t n, Cell &cell, double &ipt)
+{
+    std::istringstream fields(line);
+    std::string tag, value, extra;
+    return (fields >> tag >> cell.first >> cell.second >> value) &&
+           !(fields >> extra) && tag == "cell" && cell.first < n &&
+           cell.second < n && parseHexDouble(value, ipt);
+}
+
+/** Parse a task's payload (the header, then one line per cell in
+ *  task order). It must hold exactly `cells`, in order, under a
+ *  matching manifest, else false — the supervisor then treats the
+ *  attempt as failed and retries. */
+bool
+parseCells(const std::string &content, const std::vector<Cell> &cells,
+           size_t n, const CsvManifest &identity,
+           std::vector<double> &ipt)
+{
+    std::istringstream in(content);
+    if (!readHeader(in, kCellsMagic, identity))
         return false;
-    std::vector<double> vals(n, 0.0);
-    std::vector<bool> have(n, false);
-    size_t cells = 0;
-    while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        std::string tag, value;
-        size_t rw = 0, c = 0;
-        if (!(fields >> tag >> rw >> c >> value) || tag != "cell" ||
-            rw != w || c >= n || have[c])
+    std::vector<double> vals(cells.size());
+    std::string line;
+    for (size_t i = 0; i < cells.size(); ++i) {
+        Cell cell;
+        if (!std::getline(in, line) ||
+            !parseCellLine(line, n, cell, vals[i]) || cell != cells[i])
             return false;
-        double v = 0.0;
-        if (!parseHexDouble(value, v))
-            return false;
-        vals[c] = v;
-        have[c] = true;
-        ++cells;
     }
-    if (cells != n)
+    if (std::getline(in, line))
         return false;
-    row = std::move(vals);
+    ipt = std::move(vals);
     return true;
+}
+
+/**
+ * Load the finished cells of a partial matrix file. Returns the
+ * number of cells recovered; 0 (with `fresh` = true) when the file is
+ * absent, carries a foreign manifest, or is corrupted beyond its
+ * header — the caller then rewrites it from scratch. A torn tail line
+ * (the crash interrupted an append) only drops that line.
+ */
+size_t
+loadPartialMatrix(const std::string &path, const CsvManifest &identity,
+                  std::vector<std::vector<double>> &ipt,
+                  std::vector<std::vector<bool>> &have, bool &fresh)
+{
+    fresh = true;
+    std::string content;
+    if (!readFile(path, content))
+        return 0;
+    std::istringstream in(content);
+    if (!readHeader(in, kPartialMagic, identity))
+        return 0;
+    fresh = false;
+    size_t cells = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        Cell cell;
+        double v = 0.0;
+        if (!parseCellLine(line, ipt.size(), cell, v))
+            break; // torn tail: ignore this line and everything after
+        const auto [w, c] = cell;
+        if (!have[w][c]) {
+            ipt[w][c] = v;
+            have[w][c] = true;
+            ++cells;
+        }
+    }
+    return cells;
 }
 
 } // namespace
@@ -120,68 +174,6 @@ PerfMatrix::partialIdentity(const std::vector<WorkloadProfile> &suite,
     return m;
 }
 
-namespace
-{
-
-/**
- * Load the finished cells of a partial matrix file. Returns the
- * number of cells recovered; 0 (with `fresh` = true) when the file is
- * absent, carries a foreign manifest, or is corrupted beyond its
- * header — the caller then rewrites it from scratch. A torn tail line
- * (the crash interrupted an append) only drops that line.
- */
-size_t
-loadPartialMatrix(const std::string &path, const CsvManifest &identity,
-                  std::vector<std::vector<double>> &ipt,
-                  std::vector<std::vector<bool>> &have, bool &fresh)
-{
-    fresh = true;
-    std::string content;
-    if (!readFile(path, content))
-        return 0;
-    std::istringstream in(content);
-    std::string line;
-    if (!std::getline(in, line) || line != kPartialMagic)
-        return 0;
-    CsvManifest found;
-    while (std::getline(in, line)) {
-        if (line == "endm")
-            break;
-        if (line.rfind("m ", 0) != 0)
-            return 0;
-        const size_t eq = line.find('=', 2);
-        if (eq == std::string::npos)
-            return 0;
-        found.entries.emplace_back(line.substr(2, eq - 2),
-                                   line.substr(eq + 1));
-    }
-    if (!(found == identity))
-        return 0;
-    fresh = false;
-    const size_t n = ipt.size();
-    size_t cells = 0;
-    while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        std::string tag, value;
-        size_t w = 0, c = 0;
-        if (!(fields >> tag >> w >> c >> value) ||
-            tag != "cell" || w >= n || c >= n) {
-            break; // torn tail: ignore this line and everything after
-        }
-        double v = 0.0;
-        if (!parseHexDouble(value, v))
-            break;
-        if (!have[w][c]) {
-            ipt[w][c] = v;
-            have[w][c] = true;
-            ++cells;
-        }
-    }
-    return cells;
-}
-
-} // namespace
-
 PerfMatrix::PerfMatrix(std::vector<std::string> names,
                        std::vector<std::vector<double>> ipt)
     : names_(std::move(names)), ipt_(std::move(ipt))
@@ -201,6 +193,17 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
                   uint64_t instrs, int threads,
                   const std::string &partialPath)
 {
+    Supervisor threaded(SupervisorOptions::onThreads(threads));
+    return build(suite, configs, instrs, threaded, partialPath);
+}
+
+PerfMatrix
+PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
+                  const std::vector<CoreConfig> &configs,
+                  uint64_t instrs, Supervisor &supervisor,
+                  const std::string &partialPath,
+                  std::vector<std::string> *missingRows)
+{
     if (suite.size() != configs.size())
         fatal("PerfMatrix::build: %zu workloads vs %zu configs",
               suite.size(), configs.size());
@@ -210,19 +213,21 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
     for (const auto &p : suite)
         names.push_back(p.name);
 
-    std::vector<std::vector<double>> ipt(n, std::vector<double>(n, 0.0));
+    const CsvManifest identity = partialIdentity(suite, configs, instrs);
+    // Cells of a quarantined task stay NaN: the completed matrix
+    // records them as missing instead of aborting.
+    std::vector<std::vector<double>> ipt(
+        n, std::vector<double>(
+               n, std::numeric_limits<double>::quiet_NaN()));
     std::vector<std::vector<bool>> have(n, std::vector<bool>(n, false));
 
     // Per-cell crash safety: recover cells from the partial file (if
-    // its identity matches this build), then append every cell we
-    // compute. Cells are independent evaluations, so the merged
+    // its identity matches this build), then append every merged
+    // task's cells. Cells are independent evaluations, so the merged
     // matrix is bit-identical to an uninterrupted build.
     Metrics &metrics = Metrics::global();
     FILE *partial = nullptr;
-    std::mutex partial_mutex;
     if (!partialPath.empty()) {
-        const CsvManifest identity =
-            partialIdentity(suite, configs, instrs);
         bool fresh = true;
         const size_t recovered =
             loadPartialMatrix(partialPath, identity, ipt, have, fresh);
@@ -236,10 +241,7 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
             // Absent, stale or corrupt: (re)write the header
             // atomically, then append below.
             std::ostringstream header;
-            header << kPartialMagic << '\n';
-            for (const auto &[key, value] : identity.entries)
-                header << "m " << key << '=' << value << '\n';
-            header << "endm\n";
+            writeHeader(header, kPartialMagic, identity);
             atomicWriteFile(partialPath, header.str());
         }
         partial = std::fopen(partialPath.c_str(), "a");
@@ -249,8 +251,9 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
     }
 
     // One immutable trace per workload, generated up front and shared
-    // read-only by every worker: row w's n evaluations replay the same
-    // buffer instead of regenerating the stream n times.
+    // read-only by every task (and inherited by forked workers): row
+    // w's evaluations replay the same buffer instead of regenerating
+    // the stream per cell or per attempt.
     SimOptions proto;
     proto.measureInstrs = instrs;
     std::vector<std::shared_ptr<const TraceBuffer>> traces;
@@ -259,113 +262,85 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
         traces.push_back(sharedTrace(p, proto.streamId,
                                      proto.traceOps()));
 
-    parallelFor(n * n, resolveThreads(threads), [&](size_t idx) {
-        const size_t w = idx / n;
-        const size_t c = idx % n;
-        if (have[w][c])
-            return;
-        SimOptions opts = proto;
-        opts.trace = traces[w];
-        ipt[w][c] = simulate(suite[w], configs[c], opts).ipt();
-        metrics.counter("perf_matrix.cells_computed").add();
-        if (partial) {
-            // One line per cell, serialized and flushed: a crash
-            // loses at most the torn tail line, which the next run
-            // recomputes.
-            std::lock_guard<std::mutex> lock(partial_mutex);
-            std::fprintf(partial, "cell %zu %zu %s\n", w, c,
-                         formatHexDouble(ipt[w][c]).c_str());
-            std::fflush(partial);
+    // Tasks cover the cells the partial file did not recover: one row
+    // per task on forked workers, where a fork per cell would cost
+    // more than it balances, and one cell per task on threads, which
+    // keeps the threads evenly loaded.
+    const bool per_row = supervisor.options().backend ==
+                         SupervisorOptions::Backend::Processes;
+    std::vector<std::vector<Cell>> task_cells;
+    std::vector<SupervisedTask> tasks;
+    for (size_t w = 0; w < n; ++w) {
+        for (size_t c = 0; c < n; ++c) {
+            if (have[w][c])
+                continue;
+            std::string name = "matrix." + suite[w].name;
+            if (per_row && !tasks.empty() && tasks.back().name == name) {
+                task_cells.back().push_back({w, c});
+                continue;
+            }
+            if (!per_row)
+                name += "." + std::to_string(c);
+            tasks.emplace_back().name = std::move(name);
+            task_cells.push_back({{w, c}});
         }
-    });
+    }
+    for (size_t t = 0; t < tasks.size(); ++t) {
+        tasks[t].faultSite = "cell.publish";
+        tasks[t].run = [&, t] {
+            std::ostringstream payload;
+            writeHeader(payload, kCellsMagic, identity);
+            for (const Cell &cell : task_cells[t]) {
+                ProcPool::beat(); // per-cell liveness
+                const auto [w, c] = cell;
+                SimOptions opts = proto;
+                opts.trace = traces[w];
+                const double v = simulate(suite[w], configs[c], opts).ipt();
+                payload << cellLine(cell, v);
+            }
+            return payload.str();
+        };
+        tasks[t].merge = [&, t](const std::string &payload) {
+            const std::vector<Cell> &cells = task_cells[t];
+            std::vector<double> vals;
+            if (!parseCells(payload, cells, n, identity, vals))
+                return false;
+            for (size_t i = 0; i < cells.size(); ++i) {
+                ipt[cells[i].first][cells[i].second] = vals[i];
+                if (partial) // a crash loses at most a torn tail line
+                    std::fputs(cellLine(cells[i], vals[i]).c_str(),
+                               partial);
+            }
+            if (partial)
+                std::fflush(partial);
+            metrics.counter("perf_matrix.cells_computed")
+                .add(cells.size());
+            return true;
+        };
+    }
+
+    const std::vector<ProcJobOutcome> outcomes = supervisor.run(tasks);
+    bool complete = true;
+    for (size_t t = 0; t < tasks.size(); ++t) {
+        if (outcomes[t].status != ProcJobOutcome::Status::Quarantined)
+            continue;
+        complete = false;
+        const std::string &row = suite[task_cells[t][0].first].name;
+        warn("perf matrix: task %s quarantined after %d attempts; its "
+             "cells are recorded as missing", tasks[t].name.c_str(),
+             outcomes[t].attempts);
+        if (missingRows &&
+            (missingRows->empty() || missingRows->back() != row))
+            missingRows->push_back(row);
+    }
 
     if (partial) {
         std::fclose(partial);
+        // A degraded build keeps its cells for the rerun that fills
+        // the missing ones.
         std::error_code ec;
-        std::filesystem::remove(partialPath, ec);
-    }
-    return PerfMatrix(std::move(names), std::move(ipt));
-}
-
-PerfMatrix
-PerfMatrix::buildSupervised(const std::vector<WorkloadProfile> &suite,
-                            const std::vector<CoreConfig> &configs,
-                            uint64_t instrs, Supervisor &supervisor,
-                            std::vector<std::string> *missingRows)
-{
-    if (suite.size() != configs.size())
-        fatal("PerfMatrix::buildSupervised: %zu workloads vs %zu "
-              "configs", suite.size(), configs.size());
-    const size_t n = suite.size();
-    std::vector<std::string> names;
-    names.reserve(n);
-    for (const auto &p : suite)
-        names.push_back(p.name);
-
-    const CsvManifest identity = partialIdentity(suite, configs,
-                                                 instrs);
-    // Rows a quarantined worker never published stay NaN — the
-    // completed matrix records them as missing instead of aborting.
-    std::vector<std::vector<double>> ipt(
-        n, std::vector<double>(
-               n, std::numeric_limits<double>::quiet_NaN()));
-
-    // Traces are materialized before the forks, so every worker
-    // inherits the shared read-only buffers instead of regenerating
-    // its stream per attempt.
-    SimOptions proto;
-    proto.measureInstrs = instrs;
-    std::vector<std::shared_ptr<const TraceBuffer>> traces;
-    traces.reserve(n);
-    for (const auto &p : suite)
-        traces.push_back(sharedTrace(p, proto.streamId,
-                                     proto.traceOps()));
-
-    std::vector<ProcJob> jobs;
-    jobs.reserve(n);
-    for (size_t w = 0; w < n; ++w) {
-        ProcJob job;
-        job.name = "matrix." + suite[w].name;
-        const std::string row_path =
-            supervisor.stagingPath(job.name + ".row");
-        job.run = [&, w, row_path]() {
-            std::vector<double> row(n, 0.0);
-            for (size_t c = 0; c < n; ++c) {
-                ProcPool::beat(); // per-cell liveness
-                SimOptions opts = proto;
-                opts.trace = traces[w];
-                row[c] = simulate(suite[w], configs[c], opts).ipt();
-            }
-            atomicWriteFile(row_path,
-                            serializeMatrixRow(w, row, identity),
-                            "cell.publish");
-            return 0;
-        };
-        job.onSuccess = [&, w, row_path]() {
-            std::string content;
-            std::vector<double> row;
-            if (!readFile(row_path, content) ||
-                !parseMatrixRow(content, w, n, identity, row))
-                return false;
-            ipt[w] = std::move(row);
-            Metrics::global()
-                .counter("perf_matrix.cells_computed").add(n);
-            std::error_code ec;
-            std::filesystem::remove(row_path, ec);
-            return true;
-        };
-        jobs.push_back(std::move(job));
-    }
-
-    const std::vector<ProcJobOutcome> outcomes = supervisor.run(jobs);
-    for (size_t w = 0; w < outcomes.size(); ++w) {
-        if (outcomes[w].status == ProcJobOutcome::Status::Quarantined) {
-            warn("perf matrix: row %s quarantined after %d attempts; "
-                 "its cells are recorded as missing",
-                 suite[w].name.c_str(), outcomes[w].attempts);
-            if (missingRows)
-                missingRows->push_back(suite[w].name);
-        }
+        if (complete)
+            std::filesystem::remove(partialPath, ec);
     }
     return PerfMatrix(std::move(names), std::move(ipt));
 }

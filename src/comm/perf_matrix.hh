@@ -34,21 +34,10 @@ class PerfMatrix
     PerfMatrix() = default;
 
     /**
-     * Build by simulating every (workload, configuration) pair.
-     * @param suite the workloads (rows)
-     * @param configs one customized configuration per workload, in
-     *        suite order (columns)
-     * @param instrs instructions per evaluation
-     * @param threads worker threads (<=0: resolveThreads() — i.e.
-     *        XPS_THREADS, else the hardware concurrency)
-     * @param partialPath when non-empty, the build is crash-safe
-     *        (DESIGN.md §7): every finished cell is appended to this
-     *        file, a restarted build resumes from the cells already
-     *        present (bit-identical — every cell is independent), and
-     *        the file is removed once the matrix is complete. A
-     *        partial file whose identity manifest does not match
-     *        (different suite, configs or budget) or whose tail is
-     *        torn mid-line is discarded / truncated, never half-used.
+     * Build by simulating every (workload, configuration) pair on
+     * `threads` worker threads (<=0: resolveThreads() — i.e.
+     * XPS_THREADS, else the hardware concurrency): the overload below
+     * on a thread-backend Supervisor.
      */
     static PerfMatrix build(const std::vector<WorkloadProfile> &suite,
                             const std::vector<CoreConfig> &configs,
@@ -56,20 +45,34 @@ class PerfMatrix
                             const std::string &partialPath = "");
 
     /**
-     * Build with one supervised worker process per row (DESIGN.md
-     * §9): each row is simulated in a forked child that publishes the
-     * finished row through an identity-validated atomic file, so a
-     * crashed or hung worker is retried without ever surfacing a torn
-     * cell, and the values are bit-identical to build(). A row whose
-     * job is quarantined is filled with NaN and its workload name is
-     * appended to `missingRows` (when non-null) — the matrix still
-     * completes (graceful degradation).
+     * Build on an executor (explore/supervisor.hh): one task per cell
+     * on threads, one per row on forked workers. Each task publishes
+     * its cells as one identity-validated payload, so a crashed or
+     * hung worker is retried without ever surfacing a torn cell, and
+     * the values are bit-identical on either backend.
+     * @param suite the workloads (rows)
+     * @param configs one customized configuration per workload, in
+     *        suite order (columns)
+     * @param instrs instructions per evaluation
+     * @param partialPath when non-empty, the build is crash-safe
+     *        (DESIGN.md §7): every merged cell is appended to this
+     *        file, a restarted build resumes from the cells already
+     *        present (bit-identical — every cell is independent), and
+     *        the file is removed once the matrix is complete. A
+     *        partial file whose identity manifest does not match
+     *        (different suite, configs or budget) or whose tail is
+     *        torn mid-line is discarded / truncated, never half-used.
+     * @param missingRows a quarantined task leaves its cells NaN and
+     *        its workload's name is appended here (when non-null,
+     *        once per row) — the matrix still completes (graceful
+     *        degradation), and the partial file is kept for a rerun.
      */
-    static PerfMatrix buildSupervised(
-        const std::vector<WorkloadProfile> &suite,
-        const std::vector<CoreConfig> &configs, uint64_t instrs,
-        Supervisor &supervisor,
-        std::vector<std::string> *missingRows = nullptr);
+    static PerfMatrix build(const std::vector<WorkloadProfile> &suite,
+                            const std::vector<CoreConfig> &configs,
+                            uint64_t instrs, Supervisor &supervisor,
+                            const std::string &partialPath = "",
+                            std::vector<std::string> *missingRows =
+                                nullptr);
 
     /** Construct from precomputed values (row-major). */
     PerfMatrix(std::vector<std::string> names,

@@ -406,11 +406,8 @@ Explorer::exploreAll()
 {
     const size_t n = suite_.size();
     const bool ckpt = opts_.checkpointEvery > 0;
-    // The identity manifest also validates supervised worker result
-    // files, so it is needed whenever either machinery is on.
-    const CsvManifest identity = (ckpt || opts_.supervised)
-                                     ? checkpointIdentity()
-                                     : CsvManifest{};
+    // Validates checkpoints and every round task's payload.
+    const CsvManifest identity = checkpointIdentity();
     Metrics &metrics = Metrics::global();
     supervisorReport_ = SupervisorReport{};
     obs::setProcessName(opts_.supervised ? "explorer/supervisor"
@@ -624,10 +621,11 @@ Explorer::exploreAll()
 
     if (anneal_rounds_remain) {
         ScopedTimer timer("explore.anneal_seconds");
-        std::unique_ptr<Supervisor> sup;
-        if (opts_.supervised)
-            sup = std::make_unique<Supervisor>(opts_.supervisorOpts);
-        // Workloads whose annealing job was quarantined: their
+        // `supervised` picks the backend; the round loop is the same.
+        Supervisor sup(opts_.supervised
+                           ? opts_.supervisorOpts
+                           : SupervisorOptions::onThreads(opts_.threads));
+        // Workloads whose annealing task was quarantined: their
         // configuration is frozen at the last completed round and the
         // suite degrades gracefully instead of aborting.
         std::vector<bool> frozen(n, false);
@@ -653,99 +651,56 @@ Explorer::exploreAll()
         };
 
         for (int round = start_round; round < opts_.rounds; ++round) {
-            if (!sup) {
-                // Thread pool: each workload is touched by exactly one
-                // worker, so snapshot/install need no locking.
-                std::atomic<size_t> done_count{0};
-                parallelFor(n, opts_.threads, [&](size_t w) {
-                    if (rep[w] != w)
-                        return; // reduced away: rep anneals
-                    const SuiteWorkloadState out = annealWorkloadRound(
+            // One task per annealing workload. Its payload is the
+            // post-round state as a one-workload suite checkpoint
+            // under the identity manifest, and its merge validates and
+            // installs it. On the process backend each task runs in a
+            // forked worker that inherits the suite state by fork; a
+            // crashed or hung worker is retried (resuming from its
+            // checkpoint when one exists) and can never install a torn
+            // state. On either backend each workload is touched by one
+            // task, so snapshot and install need no locking.
+            std::vector<SupervisedTask> tasks;
+            std::vector<size_t> task_workload;
+            size_t merged = 0;
+            for (size_t w = 0; w < n; ++w) {
+                if (frozen[w] || rep[w] != w)
+                    continue; // quarantined, or reduced away
+                SupervisedTask task;
+                task.name = suite_[w].name + ".round" +
+                            std::to_string(round);
+                task.run = [&, w, round] {
+                    SuiteCheckpoint sc;
+                    sc.round = round;
+                    sc.workloads.push_back(annealWorkloadRound(
                         w, round, snapshotState(w), identity,
-                        iters_per_round, traces[w]);
-                    installState(w, out);
-                    const size_t done = done_count.fetch_add(1) + 1;
-                    verbose("explore[%s] round %d: best IPT %.3f (%s)",
-                            suite_[w].name.c_str(), round,
-                            out.currentIpt,
-                            out.current.summary().c_str());
-                    inform("explore progress: round %d/%d, %zu/%zu "
-                           "workloads, %llu evaluations, %.1fs",
-                           round + 1, opts_.rounds, done, n,
-                           static_cast<unsigned long long>(
-                               metrics.counter("anneal.evaluations")
-                                   .get()),
-                           elapsed_s());
-                });
-            } else {
-                // Supervised process pool: each workload-round runs in
-                // a forked worker that inherits the suite state by
-                // fork and publishes its post-round state through an
-                // identity-validated result file; a crashed or hung
-                // worker is retried (resuming from its checkpoint
-                // when one exists) and can never publish a torn cell.
-                std::vector<ProcJob> jobs;
-                std::vector<size_t> job_workload;
-                for (size_t w = 0; w < n; ++w) {
-                    if (frozen[w] || rep[w] != w)
-                        continue;
-                    ProcJob job;
-                    job.name = suite_[w].name + ".round" +
-                               std::to_string(round);
-                    const std::string result_path =
-                        sup->stagingPath(job.name + ".result");
-                    const auto trace = traces[w];
-                    job.run = [this, w, round, identity,
-                               iters_per_round, trace, result_path,
-                               &snapshotState]() {
-                        const SuiteWorkloadState out =
-                            annealWorkloadRound(w, round,
-                                                snapshotState(w),
-                                                identity,
-                                                iters_per_round, trace);
-                        SuiteCheckpoint sc;
-                        sc.round = round;
-                        sc.workloads.push_back(out);
-                        atomicWriteFile(result_path,
-                                        serializeSuiteCheckpoint(
-                                            sc, identity),
-                                        "worker.result");
-                        return 0;
-                    };
-                    job.onSuccess = [this, w, round, identity,
-                                     result_path, &installState,
-                                     &elapsed_s]() {
-                        std::string content;
-                        SuiteCheckpoint sc;
-                        if (!readFile(result_path, content) ||
-                            !parseSuiteCheckpoint(content, identity,
-                                                  sc) ||
-                            sc.round != round ||
-                            sc.workloads.size() != 1)
-                            return false;
-                        installState(w, sc.workloads[0]);
-                        std::error_code ec;
-                        std::filesystem::remove(result_path, ec);
-                        inform("explore progress: round %d/%d, %s "
-                               "merged, %.1fs", round + 1, opts_.rounds,
-                               suite_[w].name.c_str(), elapsed_s());
-                        return true;
-                    };
-                    jobs.push_back(std::move(job));
-                    job_workload.push_back(w);
-                }
-                const std::vector<ProcJobOutcome> outcomes =
-                    sup->run(jobs);
-                for (size_t j = 0; j < outcomes.size(); ++j) {
-                    if (outcomes[j].status ==
-                        ProcJobOutcome::Status::Quarantined) {
-                        frozen[job_workload[j]] = true;
-                        warn("explore[%s]: round %d quarantined; "
-                             "freezing its configuration at the last "
-                             "completed round",
-                             suite_[job_workload[j]].name.c_str(),
-                             round);
-                    }
+                        iters_per_round, traces[w]));
+                    return serializeSuiteCheckpoint(sc, identity);
+                };
+                task.merge = [&, w, round](const std::string &payload) {
+                    SuiteCheckpoint sc;
+                    if (!parseSuiteCheckpoint(payload, identity, sc) ||
+                        sc.round != round || sc.workloads.size() != 1)
+                        return false;
+                    installState(w, sc.workloads[0]);
+                    inform("explore progress: round %d/%d, %s merged "
+                           "(%zu/%zu), %.1fs", round + 1, opts_.rounds,
+                           suite_[w].name.c_str(), ++merged,
+                           task_workload.size(), elapsed_s());
+                    return true;
+                };
+                tasks.push_back(std::move(task));
+                task_workload.push_back(w);
+            }
+            const std::vector<ProcJobOutcome> outcomes = sup.run(tasks);
+            for (size_t j = 0; j < outcomes.size(); ++j) {
+                if (outcomes[j].status ==
+                    ProcJobOutcome::Status::Quarantined) {
+                    frozen[task_workload[j]] = true;
+                    warn("explore[%s]: round %d quarantined; "
+                         "freezing its configuration at the last "
+                         "completed round",
+                         suite_[task_workload[j]].name.c_str(), round);
                 }
             }
 
@@ -826,8 +781,7 @@ Explorer::exploreAll()
                 std::exit(kGracefulExitCode);
             }
         }
-        if (sup)
-            supervisorReport_ = sup->report();
+        supervisorReport_ = sup.report();
     }
 
     // Final pass at the (longer) final evaluation length: score every

@@ -8,13 +8,15 @@
  * pass scores every configuration at the longer final length and
  * applies the adoption rule once more, to gross violations only.
  *
- * Every phase uses the worker threads (util/parallel.hh): a round
- * anneals one workload per thread (or per supervised worker process),
- * the final scores run one workload per thread, and each workload's
+ * A round runs one task per workload on a Supervisor
+ * (explore/supervisor.hh): on threads, or on forked workers when
+ * `supervised`; either way the post-round state crosses back as a
+ * serialized, identity-validated payload. The final scores run one
+ * workload per thread (util/parallel.hh), and each workload's
  * adoption candidates are simulated as one parallel wave before its
  * adoption decisions are taken, in suite order, on the calling
- * thread. Results therefore do not depend on the thread count
- * (DESIGN.md §6).
+ * thread. Results therefore do not depend on the thread count or the
+ * backend (DESIGN.md §6).
  *
  * The output — one customized configuration per workload — is the
  * paper's *configurational characterization* of the suite.
@@ -82,15 +84,15 @@ struct ExplorerOptions
      *  its path. */
     std::function<void(const std::string &)> checkpointWrittenHook;
 
-    /** Run each per-workload annealing round in a forked, supervised
-     *  worker process (DESIGN.md §9) instead of a thread: crashes and
-     *  hangs are retried from the last checkpoint and a repeatedly
-     *  failing workload is quarantined (its configuration frozen)
-     *  rather than aborting the suite. Results are bit-identical to
-     *  the threaded mode. Enabled by XPS_SUPERVISE in the cached
-     *  experiment pipeline. */
+    /** Run the annealing round tasks on forked, supervised worker
+     *  processes (DESIGN.md §9) instead of threads: crashes and hangs
+     *  are retried from the last checkpoint. On either backend a
+     *  repeatedly failing workload-round is quarantined (its
+     *  configuration frozen) rather than aborting the suite, and
+     *  results are bit-identical. Enabled by XPS_SUPERVISE in the
+     *  cached experiment pipeline. */
     bool supervised = false;
-    /** Supervision policy when `supervised` (workers defaults to
+    /** Process-backend policy when `supervised` (workers defaults to
      *  `threads` when <= 0). */
     SupervisorOptions supervisorOpts;
 };
@@ -144,9 +146,10 @@ class Explorer
      *  checkpoints (budget, seeds, profile fingerprints, bounds). */
     CsvManifest checkpointIdentity() const;
 
-    /** Supervision outcome of the last supervised exploreAll():
-     *  crashes, hangs, retries, and quarantined workload-rounds.
-     *  Empty after a threaded run. */
+    /** Supervision outcome of the last exploreAll()'s annealing
+     *  rounds, on either backend: one record per workload-round task,
+     *  plus crashes, hangs, retries and quarantined workload-rounds.
+     *  Empty when no round ran (a resume past the last round). */
     const SupervisorReport &supervisorReport() const
     {
         return supervisorReport_;
@@ -158,8 +161,8 @@ class Explorer
 
     /** One workload's annealing round: resume from its checkpoint
      *  when one matches, anneal, and return the post-round state.
-     *  Pure over `in` + files, so it runs identically on a worker
-     *  thread or inside a forked worker process. */
+     *  Pure over `in` + files, so it runs identically on either
+     *  executor backend. */
     SuiteWorkloadState annealWorkloadRound(
         size_t w, int round, const SuiteWorkloadState &in,
         const CsvManifest &identity, uint64_t itersPerRound,

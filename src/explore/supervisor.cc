@@ -2,29 +2,19 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 
 #include "obs/json.hh"
 #include "util/atomic_file.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 
 namespace xps
 {
-
-namespace
-{
-
-// One escaper for every JSON this module emits (obs/json.hh also
-// covers control characters, which job errors can contain).
-std::string
-jsonEscape(const std::string &s)
-{
-    return obs::json::escape(s);
-}
-
-} // namespace
 
 SupervisorOptions
 SupervisorOptions::fromEnv()
@@ -40,6 +30,15 @@ SupervisorOptions::fromEnv()
     return opts;
 }
 
+SupervisorOptions
+SupervisorOptions::onThreads(int workers)
+{
+    SupervisorOptions opts;
+    opts.backend = Backend::Threads;
+    opts.workers = workers;
+    return opts;
+}
+
 std::string
 SupervisorReport::toJson() const
 {
@@ -51,17 +50,17 @@ SupervisorReport::toJson() const
         << ",\n  \"quarantined\": [";
     for (size_t i = 0; i < quarantined.size(); ++i) {
         out << (i ? "," : "") << "\n    {\"job\": \""
-            << jsonEscape(quarantined[i].name)
+            << obs::json::escape(quarantined[i].name)
             << "\", \"attempts\": " << quarantined[i].attempts
             << ", \"last_error\": \""
-            << jsonEscape(quarantined[i].lastError) << "\"}";
+            << obs::json::escape(quarantined[i].lastError) << "\"}";
     }
     out << (quarantined.empty() ? "" : "\n  ") << "],\n  \"jobs\": [";
     char buf[64];
     for (size_t j = 0; j < jobs.size(); ++j) {
         const SupervisedJobRecord &job = jobs[j];
         out << (j ? "," : "") << "\n    {\"job\": \""
-            << jsonEscape(job.name) << "\", \"status\": \""
+            << obs::json::escape(job.name) << "\", \"status\": \""
             << job.status << "\", \"attempts\": [";
         for (size_t a = 0; a < job.attempts.size(); ++a) {
             const ProcAttempt &at = job.attempts[a];
@@ -72,7 +71,7 @@ SupervisorReport::toJson() const
             out << ", \"start_mono_s\": " << buf;
             std::snprintf(buf, sizeof(buf), "%.6f", at.endMonoSeconds);
             out << ", \"end_mono_s\": " << buf << ", \"outcome\": \""
-                << jsonEscape(at.outcome)
+                << obs::json::escape(at.outcome)
                 << "\", \"exit_code\": " << at.exitCode
                 << ", \"signal\": " << at.signal;
             std::snprintf(buf, sizeof(buf), "%.6f", at.backoffSeconds);
@@ -84,9 +83,14 @@ SupervisorReport::toJson() const
     return out.str();
 }
 
-Supervisor::Supervisor(SupervisorOptions opts) : opts_(opts)
+Supervisor::Supervisor(SupervisorOptions opts) : opts_(std::move(opts))
 {
-    if (opts_.workDir.empty()) {
+    if (opts_.maxAttempts < 1)
+        fatal("Supervisor: maxAttempts must be >= 1 (got %d)",
+              opts_.maxAttempts);
+    opts_.workers = resolveThreads(opts_.workers);
+    if (opts_.backend == SupervisorOptions::Backend::Processes &&
+        opts_.workDir.empty()) {
         opts_.workDir = Budget::get().resultsDir + "/supervised." +
                         std::to_string(static_cast<long>(::getpid()));
     }
@@ -94,58 +98,108 @@ Supervisor::Supervisor(SupervisorOptions opts) : opts_(opts)
 
 Supervisor::~Supervisor()
 {
-    // Leave nothing behind when every result file was merged; a
-    // non-empty directory (stray results of a degraded run) stays for
-    // the operator.
+    // Every staging file is gone once its run returns, so this
+    // removes the directory unless something foreign was put there.
     std::error_code ec;
-    if (std::filesystem::is_directory(opts_.workDir, ec) &&
-        std::filesystem::is_empty(opts_.workDir, ec))
+    if (std::filesystem::is_directory(opts_.workDir, ec))
         std::filesystem::remove(opts_.workDir, ec);
 }
 
-std::string
-Supervisor::stagingPath(const std::string &file) const
-{
-    std::error_code ec;
-    std::filesystem::create_directories(opts_.workDir, ec);
-    return opts_.workDir + "/" + file;
-}
-
 std::vector<ProcJobOutcome>
-Supervisor::run(const std::vector<ProcJob> &jobs)
+Supervisor::run(const std::vector<SupervisedTask> &tasks)
 {
-    ProcPoolOptions pool_opts;
-    pool_opts.workers = opts_.workers;
-    pool_opts.heartbeatTimeoutSeconds = opts_.heartbeatTimeoutSeconds;
-    pool_opts.maxAttempts = opts_.maxAttempts;
-    pool_opts.backoffBaseSeconds = opts_.backoffBaseSeconds;
-    pool_opts.backoffCapSeconds = opts_.backoffCapSeconds;
-    pool_opts.jitterSeed = opts_.jitterSeed;
-    ProcPool pool(pool_opts);
-    std::vector<ProcJob> batch = jobs;
-    if (opts_.jobDeadlineSeconds > 0) {
-        for (ProcJob &job : batch) {
-            if (job.deadlineSeconds <= 0)
-                job.deadlineSeconds = opts_.jobDeadlineSeconds;
-        }
-    }
-    const std::vector<ProcJobOutcome> outcomes = pool.run(batch);
+    const std::vector<ProcJobOutcome> outcomes =
+        opts_.backend == SupervisorOptions::Backend::Threads
+            ? runOnThreads(tasks)
+            : runOnProcesses(tasks);
     for (size_t j = 0; j < outcomes.size(); ++j) {
         const ProcJobOutcome &o = outcomes[j];
+        const bool quarantined =
+            o.status == ProcJobOutcome::Status::Quarantined;
         report_.crashes += static_cast<uint64_t>(o.crashes);
         report_.hangs += static_cast<uint64_t>(o.hangs);
         if (o.attempts > 1)
             report_.retries += static_cast<uint64_t>(o.attempts - 1);
-        if (o.status == ProcJobOutcome::Status::Quarantined)
+        if (quarantined)
             report_.quarantined.push_back(
-                {jobs[j].name, o.attempts, o.lastError});
-        report_.jobs.push_back(
-            {jobs[j].name,
-             o.status == ProcJobOutcome::Status::Quarantined
-                 ? "quarantined"
-                 : "done",
-             o.attemptLog});
+                {tasks[j].name, o.attempts, o.lastError});
+        report_.jobs.push_back({tasks[j].name,
+                                quarantined ? "quarantined" : "done",
+                                o.attemptLog});
     }
+    return outcomes;
+}
+
+std::vector<ProcJobOutcome>
+Supervisor::runOnProcesses(const std::vector<SupervisedTask> &tasks)
+{
+    auto staging_path = [&](const SupervisedTask &task) {
+        return opts_.workDir + "/" + task.name + ".result";
+    };
+    std::vector<ProcJob> jobs(tasks.size());
+    for (size_t j = 0; j < tasks.size(); ++j) {
+        const SupervisedTask &task = tasks[j];
+        const std::string path = staging_path(task);
+        jobs[j].name = task.name;
+        jobs[j].deadlineSeconds = opts_.jobDeadlineSeconds;
+        jobs[j].run = [&task, path] {
+            atomicWriteFile(path, task.run(), task.faultSite);
+            return 0;
+        };
+        jobs[j].onSuccess = [&task, path] {
+            std::string payload;
+            const bool read = readFile(path, payload);
+            std::error_code ec;
+            std::filesystem::remove(path, ec);
+            return read && task.merge(payload);
+        };
+    }
+    const std::vector<ProcJobOutcome> outcomes = ProcPool(opts_).run(jobs);
+    // A worker that tore its file and died leaves it behind.
+    for (const SupervisedTask &task : tasks) {
+        std::error_code ec;
+        std::filesystem::remove(staging_path(task), ec);
+    }
+    return outcomes;
+}
+
+std::vector<ProcJobOutcome>
+Supervisor::runOnThreads(const std::vector<SupervisedTask> &tasks)
+{
+    auto mono_now = [] {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    };
+    std::vector<ProcJobOutcome> outcomes(tasks.size());
+    std::mutex merge_mutex;
+    parallelFor(tasks.size(), opts_.workers, [&](size_t j) {
+        const SupervisedTask &task = tasks[j];
+        ProcJobOutcome &o = outcomes[j];
+        for (;;) {
+            ProcAttempt attempt;
+            attempt.attempt = ++o.attempts;
+            attempt.startMonoSeconds = mono_now();
+            const std::string payload = task.run();
+            bool merged = false;
+            { // merges never overlap, as on the process backend
+                std::lock_guard<std::mutex> lock(merge_mutex);
+                merged = task.merge(payload);
+            }
+            attempt.endMonoSeconds = mono_now();
+            attempt.outcome = merged ? "ok" : "merge rejected";
+            attempt.exitCode = 0;
+            o.attemptLog.push_back(std::move(attempt));
+            if (merged)
+                return;
+            ++o.crashes;
+            o.lastError = "result rejected by the merge step";
+            if (o.attempts >= opts_.maxAttempts) {
+                o.status = ProcJobOutcome::Status::Quarantined;
+                return;
+            }
+        }
+    });
     return outcomes;
 }
 

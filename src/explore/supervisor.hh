@@ -1,20 +1,34 @@
 /**
  * @file
- * Exploration-level supervision (DESIGN.md §9): a thin façade that
- * binds the generic supervised worker pool (util/procpool.hh) to the
- * exploration pipeline's conventions — environment-derived policy
- * (XPS_SUPERVISE / XPS_HEARTBEAT_S / XPS_JOB_DEADLINE_S /
- * XPS_JOB_RETRIES), a staging directory for worker result files, and
- * a cumulative run report (crashes, hangs, retries, quarantined jobs)
- * that callers embed in their results manifest. The Explorer and
- * PerfMatrix::buildSupervised() both drive their forked jobs through
- * one Supervisor so a long suite shares one policy and one report.
+ * The one executor of the exploration pipeline (DESIGN.md §9). A
+ * Supervisor runs a batch of tasks, each of which computes a result,
+ * serializes it (the *payload*) and hands it to its own merge step,
+ * which parses, validates and installs it. Two backends run the same
+ * tasks through the same serialize/parse code:
+ *
+ *  - Processes: every task attempt runs in a forked, supervised
+ *    worker of util/procpool.hh (heartbeats, deadlines, backoff). The
+ *    worker publishes its payload to a staging file under workDir
+ *    through the task's fault site; the supervisor reads it back,
+ *    removes it and merges it. This backend is the only code that
+ *    writes, reads or removes a staging file.
+ *  - Threads: tasks run on util/parallel.hh's parallelFor and each
+ *    payload is merged in memory; no file is touched. There is no
+ *    isolation, so heartbeats and deadlines do not apply.
+ *
+ * On both, a rejected merge is a failed attempt: it is retried up to
+ * maxAttempts, then the task is quarantined. Merges never run
+ * concurrently with each other. Outcomes come back in task order and
+ * accumulate into one report (crashes, hangs, retries, quarantined
+ * tasks) that callers embed in their results manifest. The Explorer's
+ * annealing rounds and PerfMatrix::build both run on a Supervisor.
  */
 
 #ifndef XPS_EXPLORE_SUPERVISOR_HH
 #define XPS_EXPLORE_SUPERVISOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,27 +37,48 @@
 namespace xps
 {
 
-/** Supervision policy plus staging location. */
-struct SupervisorOptions
+/** Supervision policy: the pool policy plus the backend, a per-attempt
+ *  deadline and the staging location. */
+struct SupervisorOptions : ProcPoolOptions
 {
-    /** Concurrent workers (<=0: resolveThreads()). */
-    int workers = 0;
-    /** Kill a worker silent for this long (seconds, 0 = off). */
-    double heartbeatTimeoutSeconds = 30.0;
-    /** Wall-clock limit per job attempt (seconds, 0 = unlimited). */
+    enum class Backend
+    {
+        Processes, ///< forked, supervised workers
+        Threads,   ///< parallelFor threads of this process
+    };
+    Backend backend = Backend::Processes;
+    /** Wall-clock limit per job attempt (seconds, 0 = unlimited;
+     *  process backend only). */
     double jobDeadlineSeconds = 0.0;
-    /** Attempts before quarantine (>= 1). */
-    int maxAttempts = 3;
-    double backoffBaseSeconds = 0.05;
-    double backoffCapSeconds = 2.0;
-    uint64_t jitterSeed = 1;
-    /** Staging directory for worker result files; empty resolves to
+    /** Staging directory for worker payload files; empty resolves to
      *  $XPS_RESULTS_DIR/supervised.<pid> (created on demand, removed
-     *  by the destructor when empty). */
+     *  by the destructor when empty). Process backend only. */
     std::string workDir;
 
-    /** Resolve policy from the environment knobs (util/env.hh). */
+    /** The process backend under the environment knobs
+     *  (util/env.hh): XPS_THREADS workers, XPS_HEARTBEAT_S,
+     *  XPS_JOB_DEADLINE_S and XPS_JOB_RETRIES (retries after the first
+     *  attempt). */
     static SupervisorOptions fromEnv();
+
+    /** The thread backend on `workers` threads (<=0:
+     *  resolveThreads()). */
+    static SupervisorOptions onThreads(int workers);
+};
+
+/** One unit of work for the executor. */
+struct SupervisedTask
+{
+    std::string name; ///< for logs, traces, the report and backoff jitter
+    /** Compute the result and return it serialized. On the process
+     *  backend this runs in the forked worker. */
+    std::function<std::string()> run;
+    /** Parse, validate and install a payload; false rejects the
+     *  attempt. Runs in the calling process, one merge at a time. */
+    std::function<bool(const std::string &)> merge;
+    /** Fault site (util/fault.hh) the process backend's worker
+     *  publishes its payload through. */
+    const char *faultSite = "worker.result";
 };
 
 /** One abandoned job, as recorded in the run report. */
@@ -76,7 +111,8 @@ struct SupervisorReport
     std::string toJson() const;
 };
 
-/** The façade. One instance per supervised run. */
+/** The executor. One instance per run, so a long suite shares one
+ *  policy and one report. */
 class Supervisor
 {
   public:
@@ -86,24 +122,25 @@ class Supervisor
     Supervisor(const Supervisor &) = delete;
     Supervisor &operator=(const Supervisor &) = delete;
 
-    /** Run a batch on the pool; outcomes in job order. Failures and
-     *  quarantines accumulate into report(). */
-    std::vector<ProcJobOutcome> run(const std::vector<ProcJob> &jobs);
+    /** Run every task to Done or Quarantined on the configured
+     *  backend; outcomes in task order. Failures and quarantines
+     *  accumulate into report(). */
+    std::vector<ProcJobOutcome> run(
+        const std::vector<SupervisedTask> &tasks);
 
     const SupervisorReport &report() const { return report_; }
 
     /** Atomically write report().toJson() to `path`. */
     void writeReport(const std::string &path) const;
 
-    /** The staging directory (created lazily by stagingPath). */
-    const std::string &workDir() const { return opts_.workDir; }
-
-    /** Absolute staging path for a worker result file. */
-    std::string stagingPath(const std::string &file) const;
-
     const SupervisorOptions &options() const { return opts_; }
 
   private:
+    std::vector<ProcJobOutcome> runOnProcesses(
+        const std::vector<SupervisedTask> &tasks);
+    std::vector<ProcJobOutcome> runOnThreads(
+        const std::vector<SupervisedTask> &tasks);
+
     SupervisorOptions opts_;
     SupervisorReport report_;
 };

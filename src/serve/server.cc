@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -103,19 +104,14 @@ runMatrix(const Request &req, const CsvManifest &identity,
     sup_opts.workDir = resultPath + ".mx";
     Supervisor sup(sup_opts);
     std::vector<std::string> missing;
-    const PerfMatrix matrix = PerfMatrix::buildSupervised(
-        req.workloads, req.configs, req.instrs, sup, &missing);
-    auto isMissing = [&](const std::string &name) {
-        for (const std::string &m : missing) {
-            if (m == name)
-                return true;
-        }
-        return false;
-    };
+    const PerfMatrix matrix = PerfMatrix::build(
+        req.workloads, req.configs, req.instrs, sup, "", &missing);
     CsvDoc doc;
     doc.header = {"workload", "config", "ipt", "status"};
     for (size_t w = 0; w < req.workloads.size(); ++w) {
-        const bool miss = isMissing(req.workloads[w].name);
+        const bool miss = std::find(missing.begin(), missing.end(),
+                                    req.workloads[w].name) !=
+                          missing.end();
         for (size_t c = 0; c < req.configs.size(); ++c) {
             doc.rows.push_back(
                 {req.workloads[w].name, std::to_string(c),
@@ -123,8 +119,6 @@ runMatrix(const Request &req, const CsvManifest &identity,
                  miss ? "missing" : "ok"});
         }
     }
-    std::error_code ec;
-    fs::remove_all(sup_opts.workDir, ec);
     writeCsv(resultPath, doc, identity, "worker.result");
     return 0;
 }
@@ -181,10 +175,10 @@ ServerOptions::fromEnv()
         static_cast<double>(envUInt("XPS_SERVE_DRAIN_S", 5));
     opts.workers =
         static_cast<int>(envInt("XPS_SERVE_WORKERS", 2));
-    opts.heartbeatTimeoutSeconds = static_cast<double>(
-        envUInt("XPS_HEARTBEAT_S", 30));
-    opts.maxAttempts =
-        static_cast<int>(envInt("XPS_JOB_RETRIES", 3));
+    // One reading of the supervision knobs for daemon and pipeline.
+    const SupervisorOptions supervision = SupervisorOptions::fromEnv();
+    opts.heartbeatTimeoutSeconds = supervision.heartbeatTimeoutSeconds;
+    opts.maxAttempts = supervision.maxAttempts;
     opts.checkpointEvery = envUInt("XPS_SERVE_CKPT_EVERY", 8);
     // Fractional cadences matter here (CI scrapes fast test runs),
     // so this knob alone parses as a double.

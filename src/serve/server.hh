@@ -69,8 +69,9 @@ struct ServerOptions
     /** Concurrent compute workers (XPS_SERVE_WORKERS; <=0:
      *  resolveThreads()). */
     int workers = 2;
-    /** Worker supervision (shared with the one-shot pipeline knobs
-     *  XPS_HEARTBEAT_S / XPS_JOB_RETRIES). */
+    /** Worker supervision: XPS_HEARTBEAT_S and XPS_JOB_RETRIES
+     *  (retries after the first attempt), read by
+     *  SupervisorOptions::fromEnv() as in the one-shot pipeline. */
     double heartbeatTimeoutSeconds = 30.0;
     int maxAttempts = 3;
     /** Annealing checkpoint cadence for explore jobs, so a SIGKILL'd

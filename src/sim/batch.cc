@@ -19,8 +19,6 @@ BatchSimulator::BatchSimulator(
 {
     if (!trace_)
         fatal("BatchSimulator: null trace buffer");
-    if (opts_.chunkInstrs == 0)
-        opts_.chunkInstrs = opts_.measureInstrs;
     decoded_ = decodedTrace(trace_);
 }
 
@@ -160,23 +158,9 @@ BatchSimulator::runBatch(const std::vector<CoreConfig> &configs,
 
         uint64_t pruned = 0;
         for (const auto &[target, keep] : phases) {
-            // Advance every live lane to the target in round-robin
-            // chunks so all lanes replay the same trace window while
-            // it is cache-hot.
-            bool moving = true;
-            while (moving) {
-                moving = false;
-                for (size_t l = 0; l < lanes; ++l) {
-                    if (!live[l])
-                        continue;
-                    const uint64_t done = core[l]->committedSoFar();
-                    if (done >= target)
-                        continue;
-                    core[l]->advance(std::min(opts_.chunkInstrs,
-                                              target - done));
-                    if (core[l]->committedSoFar() < target)
-                        moving = true;
-                }
+            for (size_t l = 0; l < lanes; ++l) {
+                if (live[l] && core[l]->committedSoFar() < target)
+                    core[l]->advance(target - core[l]->committedSoFar());
             }
             // Cut: rank live lanes by partial cycles (equal committed
             // count, so fewer cycles = strictly higher IPC); older

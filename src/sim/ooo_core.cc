@@ -760,10 +760,4 @@ OooCore::run(std::shared_ptr<const TraceBuffer> trace,
     return finish();
 }
 
-SimStats
-OooCore::run(TraceCursor &trace, uint64_t measure, uint64_t warmup)
-{
-    return run(trace.share(), measure, warmup);
-}
-
 } // namespace xps

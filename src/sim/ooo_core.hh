@@ -84,7 +84,6 @@ namespace xps
 {
 
 class TraceBuffer;
-class TraceCursor;
 class DecodedTrace;
 class InvariantChecker;
 
@@ -127,12 +126,6 @@ class OooCore
     SimStats run(std::shared_ptr<const TraceBuffer> trace,
                  uint64_t measure, uint64_t warmup);
 
-    /** Convenience overload: replays `trace`'s buffer from position
-     *  0. The cursor only donates its buffer handle and is not
-     *  advanced (no caller reuses one after a run). */
-    SimStats run(TraceCursor &trace, uint64_t measure,
-                 uint64_t warmup);
-
     // --- resumable trace-replay API (the batched path) ---
 
     /**
@@ -161,8 +154,8 @@ class OooCore
     SimStats finish() const { return collectStats(); }
 
     /** Committed instructions of the measurement window so far (the
-     *  lockstep coordinate of a batched run: every lane of a batch is
-     *  advanced to the same committed count before being compared). */
+     *  cut coordinate of a batched run: every live lane of a batch is
+     *  advanced to the same commit target before being compared). */
     uint64_t committedSoFar() const { return committed_; }
 
     /** Cycles elapsed in the measurement window so far. At equal

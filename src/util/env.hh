@@ -49,9 +49,9 @@
  *   XPS_REGEN_GOLDEN     1 = golden_snapshot_test rewrites the
  *                        committed tests/golden/ snapshots instead of
  *                        comparing against them
- *   XPS_SUPERVISE        1 = run annealing jobs and PerfMatrix rows
- *                        in a supervised process-isolated worker pool
- *                        (util/procpool.hh) instead of raw threads;
+ *   XPS_SUPERVISE        1 = run annealing rounds and PerfMatrix rows
+ *                        on the executor's process backend
+ *                        (explore/supervisor.hh) instead of threads;
  *                        default 0
  *   XPS_HEARTBEAT_S      seconds without a worker heartbeat before
  *                        the supervisor kills it as hung (default 30,
@@ -59,8 +59,8 @@
  *   XPS_JOB_DEADLINE_S   wall-clock limit per supervised job attempt
  *                        in seconds (default 0 = unlimited)
  *   XPS_JOB_RETRIES      retries after the first failed attempt
- *                        before a supervised job is quarantined
- *                        (default 2, i.e. three attempts total)
+ *                        before a job is quarantined, in the pipeline
+ *                        and in xps-serve (default 2: three attempts)
  *   XPS_FAULTS           deterministic fault schedule,
  *                        "site:kind:nth[:seed],..." (util/fault.hh)
  *   XPS_TRACE_JSON       when set, arm the span tracer (obs/tracer.hh)

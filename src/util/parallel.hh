@@ -2,9 +2,11 @@
  * @file
  * The in-process thread pool: parallelFor() runs independent indexed
  * work items on a few threads and returns only when all of them are
- * done. Explorer rounds, the explorer's adoption waves and final
- * scores, and PerfMatrix::build all fan out through it; the forked,
- * supervised counterpart is util/procpool.hh.
+ * done. The executor's thread backend (explore/supervisor.hh, which
+ * runs explorer rounds and PerfMatrix::build) and the explorer's
+ * adoption waves and final scores fan out through it; the forked
+ * counterpart behind the executor's process backend is
+ * util/procpool.hh.
  */
 
 #ifndef XPS_UTIL_PARALLEL_HH

@@ -21,11 +21,14 @@
  * itself (the atomicWriteFile path), validated by the parent-side
  * `onSuccess` merge callback; a merge that returns false counts as a
  * failed attempt. A killed worker therefore can never publish a torn
- * result.
+ * result. Explorer rounds and matrix rows reach the pool through the
+ * process backend of explore/supervisor.hh, which owns those staging
+ * files; the xps-serve daemon drives the pool directly.
  *
  * The supervisor loop is single-threaded and must be entered with no
- * live worker std::threads (fork + threads do not mix); all explore/
- * comm callers satisfy this by construction.
+ * live worker std::threads (fork + threads do not mix); parallelFor
+ * joins its threads before it returns, so every caller satisfies
+ * this by construction.
  *
  * Metrics: supervisor.worker_crashes, supervisor.worker_hangs,
  * supervisor.job_retries, supervisor.jobs_quarantined, and

@@ -103,9 +103,6 @@ class TraceCursor
 
     uint64_t generated() const { return pos_; }
     const TraceBuffer &buffer() const { return *buffer_; }
-    /** Shared handle to the underlying buffer (keepalive for the
-     *  decoded replay path). */
-    std::shared_ptr<const TraceBuffer> share() const { return buffer_; }
 
   private:
     [[noreturn]] void exhausted() const;

@@ -251,8 +251,8 @@ TEST_P(FaultMatrix, OneInjectedFaultIsInvisibleInTheResults)
             fault::activeSchedule());
         Supervisor sup(faultSupervisor(dir));
         std::vector<std::string> missing;
-        const PerfMatrix faulted = PerfMatrix::buildSupervised(
-            suite, configs, 4000, sup, &missing);
+        const PerfMatrix faulted = PerfMatrix::build(
+            suite, configs, 4000, sup, "", &missing);
         EXPECT_EQ(fault::firedCount(), 1u)
             << "schedule " << fault::activeSchedule()
             << " never fired";

@@ -20,6 +20,7 @@
 #include "comm/experiments.hh"
 #include "comm/perf_matrix.hh"
 #include "explore/checkpoint.hh"
+#include "explore/supervisor.hh"
 #include "sim/simulator.hh"
 #include "util/atomic_file.hh"
 #include "util/csv.hh"
@@ -373,15 +374,31 @@ partialHeader()
     return out.str();
 }
 
+/** The partial-file cases run on both executor backends: threads
+ *  (one task per cell) and forked workers (one task per row). */
+class PerfMatrixPartial : public testing::TestWithParam<bool>
+{
+  protected:
+    static PerfMatrix
+    buildWith(int threads, const std::string &partialPath)
+    {
+        SupervisorOptions opts = SupervisorOptions::onThreads(threads);
+        if (GetParam())
+            opts.backend = SupervisorOptions::Backend::Processes;
+        Supervisor supervisor(opts);
+        return PerfMatrix::build(matrixSuite(),
+                                 cacheConfigs(matrixSuite()),
+                                 kMatrixInstrs, supervisor, partialPath);
+    }
+};
+
 } // namespace
 
-TEST(PerfMatrixPartial, BuildWithPartialPathMatchesPlainBuild)
+TEST_P(PerfMatrixPartial, BuildWithPartialPathMatchesPlainBuild)
 {
     const PerfMatrix golden = goldenMatrix();
     const std::string path = tmpFile("matrix0.partial");
-    const PerfMatrix built =
-        PerfMatrix::build(matrixSuite(), cacheConfigs(matrixSuite()),
-                          kMatrixInstrs, 2, path);
+    const PerfMatrix built = buildWith(2, path);
     for (size_t w = 0; w < golden.size(); ++w) {
         for (size_t c = 0; c < golden.size(); ++c)
             EXPECT_EQ(built.ipt(w, c), golden.ipt(w, c));
@@ -390,7 +407,7 @@ TEST(PerfMatrixPartial, BuildWithPartialPathMatchesPlainBuild)
     EXPECT_FALSE(std::filesystem::exists(path));
 }
 
-TEST(PerfMatrixPartial, ResumesRecoveredCellsVerbatim)
+TEST_P(PerfMatrixPartial, ResumesRecoveredCellsVerbatim)
 {
     // Poison one cell in a hand-crafted partial file: if the build
     // really resumes per cell, the poisoned value must flow into the
@@ -398,9 +415,7 @@ TEST(PerfMatrixPartial, ResumesRecoveredCellsVerbatim)
     const std::string path = tmpFile("matrix1.partial");
     atomicWriteFile(path, partialHeader() + "cell 0 1 " +
                               formatHexDouble(999.0) + "\n");
-    const PerfMatrix built =
-        PerfMatrix::build(matrixSuite(), cacheConfigs(matrixSuite()),
-                          kMatrixInstrs, 1, path);
+    const PerfMatrix built = buildWith(1, path);
     EXPECT_EQ(built.ipt(0, 1), 999.0);
     // Untouched cells match the golden build bit-identically.
     const PerfMatrix golden = goldenMatrix();
@@ -409,20 +424,18 @@ TEST(PerfMatrixPartial, ResumesRecoveredCellsVerbatim)
     EXPECT_EQ(built.ipt(1, 1), golden.ipt(1, 1));
 }
 
-TEST(PerfMatrixPartial, TornTailLineIsDroppedNotMisparsed)
+TEST_P(PerfMatrixPartial, TornTailLineIsDroppedNotMisparsed)
 {
     const std::string path = tmpFile("matrix2.partial");
     atomicWriteFile(path, partialHeader() + "cell 1 1 " +
                               formatHexDouble(999.0) + "\ncell 0 1 0x1.8p");
-    const PerfMatrix built =
-        PerfMatrix::build(matrixSuite(), cacheConfigs(matrixSuite()),
-                          kMatrixInstrs, 1, path);
+    const PerfMatrix built = buildWith(1, path);
     const PerfMatrix golden = goldenMatrix();
     EXPECT_EQ(built.ipt(1, 1), 999.0);        // intact line kept
     EXPECT_EQ(built.ipt(0, 1), golden.ipt(0, 1)); // torn line redone
 }
 
-TEST(PerfMatrixPartial, ForeignManifestIsDiscarded)
+TEST_P(PerfMatrixPartial, ForeignManifestIsDiscarded)
 {
     // A poisoned partial from a *different* budget must be thrown
     // away wholesale: the result matches the plain build.
@@ -433,9 +446,7 @@ TEST(PerfMatrixPartial, ForeignManifestIsDiscarded)
     header.insert(at, "m alien=1\n");
     atomicWriteFile(path, header + "cell 0 1 " +
                               formatHexDouble(999.0) + "\n");
-    const PerfMatrix built =
-        PerfMatrix::build(matrixSuite(), cacheConfigs(matrixSuite()),
-                          kMatrixInstrs, 1, path);
+    const PerfMatrix built = buildWith(1, path);
     const PerfMatrix golden = goldenMatrix();
     for (size_t w = 0; w < golden.size(); ++w) {
         for (size_t c = 0; c < golden.size(); ++c)
@@ -443,17 +454,21 @@ TEST(PerfMatrixPartial, ForeignManifestIsDiscarded)
     }
 }
 
-TEST(PerfMatrixPartial, GarbagePartialIsDiscarded)
+TEST_P(PerfMatrixPartial, GarbagePartialIsDiscarded)
 {
     const std::string path = tmpFile("matrix4.partial");
     atomicWriteFile(path, "complete nonsense\n\x01\x02\x03");
-    const PerfMatrix built =
-        PerfMatrix::build(matrixSuite(), cacheConfigs(matrixSuite()),
-                          kMatrixInstrs, 1, path);
+    const PerfMatrix built = buildWith(1, path);
     const PerfMatrix golden = goldenMatrix();
     EXPECT_EQ(built.ipt(0, 0), golden.ipt(0, 0));
     EXPECT_FALSE(std::filesystem::exists(path));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, PerfMatrixPartial, testing::Bool(),
+    [](const testing::TestParamInfo<bool> &info) {
+        return std::string(info.param ? "Processes" : "Threads");
+    });
 
 // --- differential: streaming vs traced simulation --------------------------
 

@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "explore/supervisor.hh"
 #include "obs/json.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
@@ -667,11 +668,11 @@ TEST(ServeDegraded, QuarantinedMatrixIsMarkedAndNeverCached)
     d.flags = {"--workers", "1"};
     // Visit 1 of worker.start is the matrix job child itself; visit 2
     // is the first row grandchild (gzip) under the nested supervisor.
-    // With a single attempt per job, that one crash quarantines the
-    // row deterministically while the sibling row and the outer job
-    // complete.
+    // With no retry (a single attempt per job), that one crash
+    // quarantines the row deterministically while the sibling row and
+    // the outer job complete.
     d.env = {{"XPS_FAULTS", "worker.start:crash:2"},
-             {"XPS_JOB_RETRIES", "1"}};
+             {"XPS_JOB_RETRIES", "0"}};
     d.start();
 
     const char *req =
@@ -700,6 +701,44 @@ TEST(ServeDegraded, QuarantinedMatrixIsMarkedAndNeverCached)
     EXPECT_EQ(intact.find("\"degraded\""), std::string::npos) << intact;
     EXPECT_EQ(intact.find("\"status\":\"missing\""), std::string::npos)
         << intact;
+    d.stopGracefully();
+    fs::remove_all(dir);
+}
+
+// --- XPS_JOB_RETRIES: one meaning for daemon and pipeline ------------------
+
+TEST(ServeOptions, JobRetriesCountRetriesInBothResolvers)
+{
+    const char *old = std::getenv("XPS_JOB_RETRIES");
+    const std::string saved = old ? old : "";
+    for (const char *value : {"", "0", "1"}) {
+        if (*value)
+            ::setenv("XPS_JOB_RETRIES", value, 1);
+        else
+            ::unsetenv("XPS_JOB_RETRIES");
+        const serve::ServerOptions daemon = serve::ServerOptions::fromEnv();
+        const SupervisorOptions pipeline = SupervisorOptions::fromEnv();
+        EXPECT_EQ(daemon.maxAttempts, pipeline.maxAttempts) << value;
+        EXPECT_EQ(daemon.heartbeatTimeoutSeconds,
+                  pipeline.heartbeatTimeoutSeconds)
+            << value;
+        EXPECT_EQ(daemon.maxAttempts, *value ? 1 + std::atoi(value) : 3)
+            << value;
+    }
+    if (old)
+        ::setenv("XPS_JOB_RETRIES", saved.c_str(), 1);
+    else
+        ::unsetenv("XPS_JOB_RETRIES");
+}
+
+TEST(ServeBoot, NoRetriesBootsAndAnswersPing)
+{
+    // XPS_JOB_RETRIES=0 means one attempt per job, not zero.
+    const std::string dir = shortTempDir();
+    Daemon d(dir);
+    d.env = {{"XPS_JOB_RETRIES", "0"}};
+    d.start();
+    EXPECT_EQ(statusOf(rpc(d.sock, "{\"op\":\"ping\"}")), "ok");
     d.stopGracefully();
     fs::remove_all(dir);
 }

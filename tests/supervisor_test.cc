@@ -3,8 +3,9 @@
  * The supervised worker-pool battery (DESIGN.md §9): ProcPool crash /
  * hang / deadline / merge-rejection handling with retry and
  * quarantine, graceful degradation when every job fails, the
- * heartbeat-pipe fds an event loop waits on, supervised exploration
- * and matrix builds bit-identical to their threaded counterparts, and
+ * heartbeat-pipe fds an event loop waits on, the executor's task
+ * contract on both backends, supervised exploration and matrix builds
+ * bit-identical to their threaded counterparts, and
  * SIGKILL-the-supervisor + resume.
  */
 
@@ -22,6 +23,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "comm/perf_matrix.hh"
 #include "explore/explorer.hh"
@@ -459,12 +461,14 @@ TEST(Supervisor, ReportAccumulatesAndSerializes)
 {
     const std::string dir = freshDir("report");
     Supervisor sup(fastSupervisor(dir + "/staging"));
-    std::vector<ProcJob> jobs(2);
-    jobs[0].name = "ok";
-    jobs[0].run = []() { return 0; };
-    jobs[1].name = "doomed";
-    jobs[1].run = []() { return 13; };
-    sup.run(jobs);
+    std::vector<SupervisedTask> tasks(2);
+    tasks[0].name = "ok";
+    tasks[0].run = [] { return std::string(); };
+    tasks[0].merge = [](const std::string &) { return true; };
+    tasks[1].name = "doomed";
+    tasks[1].run = []() -> std::string { ::_exit(13); };
+    tasks[1].merge = [](const std::string &) { return true; };
+    sup.run(tasks);
     const SupervisorReport &report = sup.report();
     EXPECT_EQ(report.crashes, 3u); // maxAttempts failures
     EXPECT_EQ(report.retries, 2u);
@@ -483,6 +487,110 @@ TEST(Supervisor, ReportAccumulatesAndSerializes)
     EXPECT_NE(json.find("\"doomed\""), std::string::npos) << json;
     std::filesystem::remove_all(dir);
 }
+
+// --- the executor: one test body over both backends -----------------------
+
+namespace
+{
+
+struct ExecutorSetup
+{
+    const char *name;
+    SupervisorOptions::Backend backend;
+    int workers;
+};
+
+class Executor : public testing::TestWithParam<ExecutorSetup>
+{
+};
+
+} // namespace
+
+TEST_P(Executor, MergesEachPayloadOnceInTaskOrderAndQuarantinesRejects)
+{
+    // Task i rejects its first i % 3 payloads, so its outcome reads
+    // 1 + i % 3 attempts; the last task rejects every payload. Later
+    // tasks finish first, so any reordering of outcomes shows.
+    constexpr size_t kTasks = 7;
+    constexpr size_t kDoomed = kTasks - 1;
+    const std::string dir =
+        freshDir(std::string("executor_") + GetParam().name);
+    auto payload_of = [](size_t i) {
+        return "task " + std::to_string(i) + "\n" + std::string(1, '\0') +
+               "end";
+    };
+    std::vector<int> calls(kTasks, 0), accepted(kTasks, 0);
+    std::vector<SupervisedTask> tasks(kTasks);
+    for (size_t i = 0; i < kTasks; ++i) {
+        tasks[i].name = "task" + std::to_string(i);
+        tasks[i].run = [&, i] {
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(2 * (kTasks - i)));
+            return payload_of(i);
+        };
+        tasks[i].merge = [&, i](const std::string &payload) {
+            EXPECT_EQ(payload, payload_of(i));
+            if (i == kDoomed ||
+                calls[i]++ < static_cast<int>(i % 3))
+                return false;
+            ++accepted[i];
+            return true;
+        };
+    }
+    SupervisorOptions opts = fastSupervisor(dir);
+    opts.backend = GetParam().backend;
+    opts.workers = GetParam().workers;
+    Supervisor sup(opts);
+    const std::vector<ProcJobOutcome> outcomes = sup.run(tasks);
+
+    ASSERT_EQ(outcomes.size(), kTasks);
+    for (size_t i = 0; i < kDoomed; ++i) {
+        EXPECT_EQ(outcomes[i].status, ProcJobOutcome::Status::Done);
+        EXPECT_EQ(outcomes[i].attempts, 1 + static_cast<int>(i % 3));
+        EXPECT_EQ(outcomes[i].crashes, static_cast<int>(i % 3));
+        EXPECT_EQ(accepted[i], 1) << "task " << i;
+    }
+    const ProcJobOutcome &doomed = outcomes[kDoomed];
+    EXPECT_EQ(doomed.status, ProcJobOutcome::Status::Quarantined);
+    EXPECT_EQ(doomed.attempts, opts.maxAttempts);
+    EXPECT_EQ(doomed.crashes, opts.maxAttempts);
+    EXPECT_EQ(doomed.hangs, 0);
+    EXPECT_EQ(accepted[kDoomed], 0);
+
+    // 0+1+2+0+1+2 rejections among the siblings, 3 for the doomed task.
+    const SupervisorReport &report = sup.report();
+    EXPECT_EQ(report.crashes, 9u);
+    EXPECT_EQ(report.hangs, 0u);
+    EXPECT_EQ(report.retries, 8u);
+    ASSERT_EQ(report.quarantined.size(), 1u);
+    EXPECT_EQ(report.quarantined[0].name, "task6");
+    EXPECT_EQ(report.quarantined[0].attempts, 3);
+    ASSERT_EQ(report.jobs.size(), kTasks);
+    for (size_t i = 0; i < kTasks; ++i) {
+        EXPECT_EQ(report.jobs[i].name, tasks[i].name);
+        EXPECT_EQ(report.jobs[i].status,
+                  i == kDoomed ? "quarantined" : "done");
+        ASSERT_EQ(report.jobs[i].attempts.size(),
+                  static_cast<size_t>(outcomes[i].attempts));
+        EXPECT_EQ(report.jobs[i].attempts.back().outcome,
+                  i == kDoomed ? "merge rejected" : "ok");
+    }
+    // No staging file outlives its merge (the thread backend writes
+    // none at all).
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, Executor,
+    testing::Values(
+        ExecutorSetup{"threads1", SupervisorOptions::Backend::Threads, 1},
+        ExecutorSetup{"threads3", SupervisorOptions::Backend::Threads, 3},
+        ExecutorSetup{"processes", SupervisorOptions::Backend::Processes,
+                      2}),
+    [](const testing::TestParamInfo<ExecutorSetup> &info) {
+        return std::string(info.param.name);
+    });
 
 // --- supervised exploration ------------------------------------------------
 
@@ -607,8 +715,8 @@ TEST(SupervisedMatrix, MatchesPlainBuildBitIdentical)
     const std::string dir = freshDir("matrix_eq");
     Supervisor sup(fastSupervisor(dir));
     std::vector<std::string> missing;
-    const PerfMatrix supervised = PerfMatrix::buildSupervised(
-        suite, configs, instrs, sup, &missing);
+    const PerfMatrix supervised = PerfMatrix::build(
+        suite, configs, instrs, sup, "", &missing);
 
     EXPECT_TRUE(missing.empty());
     ASSERT_EQ(supervised.size(), golden.size());
@@ -633,8 +741,8 @@ TEST(SupervisedMatrix, QuarantinedRowDegradesToMissingCells)
     opts.maxAttempts = 2;
     Supervisor sup(opts);
     std::vector<std::string> missing;
-    const PerfMatrix degraded = PerfMatrix::buildSupervised(
-        suite, configs, 1000000, sup, &missing);
+    const PerfMatrix degraded = PerfMatrix::build(
+        suite, configs, 1000000, sup, "", &missing);
 
     ASSERT_EQ(missing.size(), suite.size());
     EXPECT_EQ(missing[0], suite[0].name);
