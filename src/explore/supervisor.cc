@@ -1,9 +1,6 @@
 #include "explore/supervisor.hh"
 
-#include <unistd.h>
-
 #include <chrono>
-#include <filesystem>
 #include <mutex>
 #include <sstream>
 
@@ -89,20 +86,6 @@ Supervisor::Supervisor(SupervisorOptions opts) : opts_(std::move(opts))
         fatal("Supervisor: maxAttempts must be >= 1 (got %d)",
               opts_.maxAttempts);
     opts_.workers = resolveThreads(opts_.workers);
-    if (opts_.backend == SupervisorOptions::Backend::Processes &&
-        opts_.workDir.empty()) {
-        opts_.workDir = Budget::get().resultsDir + "/supervised." +
-                        std::to_string(static_cast<long>(::getpid()));
-    }
-}
-
-Supervisor::~Supervisor()
-{
-    // Every staging file is gone once its run returns, so this
-    // removes the directory unless something foreign was put there.
-    std::error_code ec;
-    if (std::filesystem::is_directory(opts_.workDir, ec))
-        std::filesystem::remove(opts_.workDir, ec);
 }
 
 std::vector<ProcJobOutcome>
@@ -133,34 +116,18 @@ Supervisor::run(const std::vector<SupervisedTask> &tasks)
 std::vector<ProcJobOutcome>
 Supervisor::runOnProcesses(const std::vector<SupervisedTask> &tasks)
 {
-    auto staging_path = [&](const SupervisedTask &task) {
-        return opts_.workDir + "/" + task.name + ".result";
-    };
     std::vector<ProcJob> jobs(tasks.size());
     for (size_t j = 0; j < tasks.size(); ++j) {
         const SupervisedTask &task = tasks[j];
-        const std::string path = staging_path(task);
         jobs[j].name = task.name;
         jobs[j].deadlineSeconds = opts_.jobDeadlineSeconds;
-        jobs[j].run = [&task, path] {
-            atomicWriteFile(path, task.run(), task.faultSite);
+        jobs[j].run = [&task] {
+            ProcPool::sendResult(task.run(), task.faultSite);
             return 0;
         };
-        jobs[j].onSuccess = [&task, path] {
-            std::string payload;
-            const bool read = readFile(path, payload);
-            std::error_code ec;
-            std::filesystem::remove(path, ec);
-            return read && task.merge(payload);
-        };
+        jobs[j].onSuccess = task.merge;
     }
-    const std::vector<ProcJobOutcome> outcomes = ProcPool(opts_).run(jobs);
-    // A worker that tore its file and died leaves it behind.
-    for (const SupervisedTask &task : tasks) {
-        std::error_code ec;
-        std::filesystem::remove(staging_path(task), ec);
-    }
-    return outcomes;
+    return ProcPool(opts_).run(jobs);
 }
 
 std::vector<ProcJobOutcome>

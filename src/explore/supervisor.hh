@@ -7,14 +7,11 @@
  * tasks through the same serialize/parse code:
  *
  *  - Processes: every task attempt runs in a forked, supervised
- *    worker of util/procpool.hh (heartbeats, deadlines, backoff). The
- *    worker publishes its payload to a staging file under workDir
- *    through the task's fault site; the supervisor reads it back,
- *    removes it and merges it. This backend is the only code that
- *    writes, reads or removes a staging file.
- *  - Threads: tasks run on util/parallel.hh's parallelFor and each
- *    payload is merged in memory; no file is touched. There is no
- *    isolation, so heartbeats and deadlines do not apply.
+ *    worker of util/procpool.hh (heartbeats, deadlines, backoff),
+ *    which sends its payload home on its pool pipe through the task's
+ *    fault site; the merge runs as the pool's onSuccess.
+ *  - Threads: tasks run on util/parallel.hh's parallelFor. There is
+ *    no isolation, so heartbeats and deadlines do not apply.
  *
  * On both, a rejected merge is a failed attempt: it is retried up to
  * maxAttempts, then the task is quarantined. Merges never run
@@ -37,8 +34,8 @@
 namespace xps
 {
 
-/** Supervision policy: the pool policy plus the backend, a per-attempt
- *  deadline and the staging location. */
+/** Supervision policy: the pool policy plus the backend and a
+ *  per-attempt deadline. */
 struct SupervisorOptions : ProcPoolOptions
 {
     enum class Backend
@@ -50,10 +47,6 @@ struct SupervisorOptions : ProcPoolOptions
     /** Wall-clock limit per job attempt (seconds, 0 = unlimited;
      *  process backend only). */
     double jobDeadlineSeconds = 0.0;
-    /** Staging directory for worker payload files; empty resolves to
-     *  $XPS_RESULTS_DIR/supervised.<pid> (created on demand, removed
-     *  by the destructor when empty). Process backend only. */
-    std::string workDir;
 
     /** The process backend under the environment knobs
      *  (util/env.hh): XPS_THREADS workers, XPS_HEARTBEAT_S,
@@ -77,7 +70,7 @@ struct SupervisedTask
      *  attempt. Runs in the calling process, one merge at a time. */
     std::function<bool(const std::string &)> merge;
     /** Fault site (util/fault.hh) the process backend's worker
-     *  publishes its payload through. */
+     *  sends its payload through. */
     const char *faultSite = "worker.result";
 };
 
@@ -117,7 +110,6 @@ class Supervisor
 {
   public:
     explicit Supervisor(SupervisorOptions opts = SupervisorOptions{});
-    ~Supervisor();
 
     Supervisor(const Supervisor &) = delete;
     Supervisor &operator=(const Supervisor &) = delete;

@@ -1,9 +1,6 @@
 #include "serve/journal.hh"
 
-#include <signal.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <filesystem>
 #include <sstream>
 
@@ -39,7 +36,6 @@ Journal::record(const JournalRecord &rec)
 {
     std::ostringstream out;
     out << "{\"key\":\"" << obs::json::escape(rec.key)
-        << "\",\"state\":\"" << obs::json::escape(rec.state)
         << "\",\"seq\":" << rec.seq << ",\"request\":\""
         << obs::json::escape(rec.request) << "\"}\n";
     atomicWriteFile(path(rec.key), out.str(), "serve.journal");
@@ -58,27 +54,13 @@ Journal::recover()
     Metrics &metrics = Metrics::global();
     std::vector<JournalRecord> live;
     std::error_code ec;
+    // Records are written once, so no later write of the same record
+    // sweeps its dead writer's temp: sweep them all here.
+    sweepStaleTemps(dir_, "");
     for (const auto &entry : fs::directory_iterator(dir_, ec)) {
         const std::string name = entry.path().filename().string();
-        // Orphaned staging temps (`<file>.tmp.<pid>.<nonce>`) from a
-        // writer that died mid-publish: remove when the pid is gone,
-        // mirroring atomicWriteFile's pre-stage sweep — the journal
-        // must not accrete garbage across crash loops.
-        const size_t tmp = name.find(".tmp.");
-        if (tmp != std::string::npos) {
-            const size_t pid_at = tmp + 5;
-            const size_t pid_end = name.find('.', pid_at);
-            const long pid = std::strtol(
-                name.c_str() + pid_at, nullptr, 10);
-            if (pid_end != std::string::npos && pid > 0 &&
-                ::kill(static_cast<pid_t>(pid), 0) == -1 &&
-                errno == ESRCH) {
-                fs::remove(entry.path(), ec);
-                metrics.counter("serve.journal_temps_swept").add();
-            }
-            continue;
-        }
         if (name.rfind("job.", 0) != 0 ||
+            name.find(".tmp.") != std::string::npos ||
             name.find(".json") == std::string::npos)
             continue;
         std::string content;
@@ -86,8 +68,7 @@ Journal::recover()
         JournalRecord rec;
         if (!readFile(entry.path().string(), content) ||
             !obs::json::parse(content, v) || !v.isObject() ||
-            (rec.key = v.stringOr("key", "")).empty() ||
-            (rec.state = v.stringOr("state", "")).empty()) {
+            (rec.key = v.stringOr("key", "")).empty()) {
             warn("journal: removing torn record %s", name.c_str());
             fs::remove(entry.path(), ec);
             metrics.counter("serve.journal_torn").add();
@@ -96,22 +77,12 @@ Journal::recover()
         rec.seq = static_cast<uint64_t>(v.numberOr("seq", 0));
         rec.request = v.stringOr("request", "");
         seq_ = std::max(seq_, rec.seq + 1);
-        if (rec.state == "completed") {
-            // Publish won the race with the crash; the store has it.
-            fs::remove(entry.path(), ec);
-            continue;
-        }
         live.push_back(std::move(rec));
     }
     std::sort(live.begin(), live.end(),
               [](const JournalRecord &a, const JournalRecord &b) {
                   return a.seq < b.seq;
               });
-    if (!live.empty()) {
-        inform("journal: recovered %zu outstanding job(s)",
-               live.size());
-        metrics.counter("serve.journal_recovered").add(live.size());
-    }
     return live;
 }
 

@@ -1,24 +1,21 @@
 /**
  * @file
- * The crash-safe job journal (DESIGN.md §13.3). Every accepted
+ * The crash-safe job journal (DESIGN.md §13.3). Every admitted
  * compute job owns one record file `job.<key>.json` in the journal
- * directory, rewritten atomically (util/atomic_file, fault site
- * `serve.journal`) on each state transition:
- *
- *   accepted  -> admitted to the queue, not yet dispatched
- *   started   -> dispatched to a pool worker
- *   completed -> result published to the store; removed right after
+ * directory, written once, atomically (util/atomic_file, fault site
+ * `serve.journal`), when the job is admitted, and removed once its
+ * waiters are answered. A record is the request line and its
+ * admission sequence number; there are no states to advance.
  *
  * On boot, recover() sweeps orphaned staging temps left by a dead
- * writer (mirroring atomicWriteFile's own sweep), removes `completed`
- * records (the publish won the race with the crash — the store has
- * the result), skips-and-removes torn records (a crash mid-rename
- * can leave pre-v1 garbage; atomic writes make this near-impossible,
- * but the reader never trusts it), and returns the rest ordered by
- * admission sequence so a SIGKILL'd daemon resumes exactly the jobs
- * it owed. Re-run jobs consult the result store first, so a crash
- * between publish and record-removal costs a cache hit, never a
- * recompute or a duplicate.
+ * writer (mirroring atomicWriteFile's own sweep), skips-and-removes
+ * torn records (a crash mid-rename can leave pre-v1 garbage; atomic
+ * writes make this near-impossible, but the reader never trusts it),
+ * and returns the rest ordered by admission sequence. The daemon
+ * re-enqueues each one whose result is not in the store yet (a
+ * worker publishes before it reports back), so a SIGKILL'd daemon
+ * resumes exactly the jobs it owed, and a crash between publish and
+ * record removal costs a store lookup, never a recompute.
  */
 
 #ifndef XPS_SERVE_JOURNAL_HH
@@ -36,9 +33,8 @@ namespace serve
 /** One journal record, as persisted. */
 struct JournalRecord
 {
-    std::string key; ///< result-store content key (16 hex digits)
-    std::string state; ///< "accepted", "started", or "completed"
-    uint64_t seq = 0;  ///< admission order, monotonic across boots
+    std::string key;  ///< result-store content key (16 hex digits)
+    uint64_t seq = 0; ///< admission order, monotonic across boots
     /** The original request line, verbatim — recovery re-parses it
      *  through the same closed-world parser as live traffic. */
     std::string request;
@@ -50,25 +46,23 @@ class Journal
   public:
     explicit Journal(std::string dir);
 
-    /** Persist a record (atomic replace; fault site serve.journal). */
+    /** Persist a record (atomic write; fault site serve.journal). */
     void record(const JournalRecord &rec);
 
-    /** Remove a job's record (after its result is published and every
-     *  waiter answered). Missing file is fine. */
+    /** Remove a job's record (after every waiter is answered).
+     *  Missing file is fine. */
     void remove(const std::string &key);
 
     /**
-     * Boot-time recovery: sweep dead writers' temps, drop completed
-     * and torn records, and return the outstanding jobs sorted by
-     * seq. Also primes nextSeq() past everything ever journaled.
+     * Boot-time recovery: sweep dead writers' temps, drop torn
+     * records, and return the rest sorted by seq. Also primes
+     * nextSeq() past everything ever journaled.
      */
     std::vector<JournalRecord> recover();
 
     /** The next admission sequence number (monotonic across boots
      *  once recover() has run). */
     uint64_t nextSeq() { return seq_++; }
-
-    const std::string &dir() const { return dir_; }
 
   private:
     std::string path(const std::string &key) const;

@@ -189,6 +189,13 @@ parseRequest(const std::string &line, Request &req, std::string &error)
         }
         if (!found)
             return fail(error, "unknown workload '" + item.str + "'");
+        // A name names a result row, a store identity entry and an
+        // explorer checkpoint file, so each must be one workload.
+        for (const WorkloadProfile &p : req.workloads) {
+            if (p.name == item.str)
+                return fail(error,
+                            "workload '" + item.str + "' is repeated");
+        }
         req.workloads.push_back(*found);
     }
 

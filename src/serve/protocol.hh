@@ -4,10 +4,11 @@
  * JSON over a Unix-domain stream socket. One request line in, one
  * response line out, in request order per connection.
  *
- * Parsing is closed-world (obs/json): unknown ops, unknown workload
- * names, unknown configuration keys, and configurations that fail
- * checkFits() are rejected with an explicit error response — client
- * input is untrusted and must never fatal() the daemon.
+ * Parsing is closed-world (obs/json): unknown ops, unknown or
+ * repeated workload names, unknown configuration keys, and
+ * configurations that fail checkFits() are rejected with an explicit
+ * error response — client input is untrusted and must never fatal()
+ * the daemon.
  *
  * Every compute request canonicalizes to a CsvManifest identity
  * (schema version, op, budget knobs, profile and config
@@ -78,8 +79,9 @@ struct Request
 /**
  * Parse and validate one request line. Returns false with a
  * human-readable `error` on any deviation from the closed world —
- * malformed JSON, unknown op/workload/config key, out-of-range
- * budget, or a configuration that violates the timing model.
+ * malformed JSON, unknown op/workload/config key, a repeated
+ * workload, an out-of-range budget, or a configuration that violates
+ * the timing model.
  */
 bool parseRequest(const std::string &line, Request &req,
                   std::string &error);

@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "serve/protocol.hh"
+#include "util/atomic_file.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
 
@@ -39,9 +40,9 @@ ResultStore::lookup(const CsvManifest &identity, CsvDoc &doc)
 }
 
 void
-ResultStore::publish(const CsvManifest &identity, const CsvDoc &doc)
+ResultStore::publish(const CsvManifest &identity, const std::string &csv)
 {
-    writeCsv(entryPath(identity), doc, identity, "serve.publish");
+    atomicWriteFile(entryPath(identity), csv, "serve.publish");
     Metrics::global().counter("serve.cache_publishes").add();
 }
 

@@ -8,11 +8,12 @@
  * hash collision, torn write, or schema drift reads as a miss (with
  * its cache.reject_reason counted), never as a wrong answer.
  *
- * Publishes go through the `serve.publish` fault site: an injected
- * torn write leaves a file lookup() rejects, so the worst case is a
+ * The worker that computed a result publishes it before it reports
+ * home, through the `serve.publish` fault site: an injected torn
+ * write leaves a file lookup() rejects, so the worst case is a
  * recompute. Degraded results (quarantined matrix rows) are NEVER
- * stored — a cache must not replay a degradation that a healthy
- * rerun would not reproduce.
+ * stored — a cache must not replay a degradation that a healthy rerun
+ * would not reproduce.
  */
 
 #ifndef XPS_SERVE_RESULT_STORE_HH
@@ -36,15 +37,13 @@ class ResultStore
      *  exists. Counts serve.cache_hits / serve.cache_misses. */
     bool lookup(const CsvManifest &identity, CsvDoc &doc);
 
-    /** Atomically publish a result (fault site serve.publish). */
-    void publish(const CsvManifest &identity, const CsvDoc &doc);
-
-    /** The entry path for an identity (exposed for tests). */
-    std::string entryPath(const CsvManifest &identity) const;
-
-    const std::string &dir() const { return dir_; }
+    /** Atomically publish a result rendered by renderCsv() against
+     *  `identity` (fault site serve.publish). */
+    void publish(const CsvManifest &identity, const std::string &csv);
 
   private:
+    std::string entryPath(const CsvManifest &identity) const;
+
     std::string dir_;
 };
 

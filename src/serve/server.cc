@@ -71,9 +71,8 @@ isDegraded(const CsvDoc &doc)
 
 // --- worker bodies (run in a forked pool child) ---------------------
 
-int
-runWhatif(const Request &req, const CsvManifest &identity,
-          const std::string &resultPath)
+CsvDoc
+runWhatif(const Request &req)
 {
     CsvDoc doc;
     doc.header = {"workload", "ipt"};
@@ -84,13 +83,11 @@ runWhatif(const Request &req, const CsvManifest &identity,
         const SimStats stats = simulate(p, req.configs[0], sim);
         doc.rows.push_back({p.name, fmtDouble(stats.ipt())});
     }
-    writeCsv(resultPath, doc, identity, "worker.result");
-    return 0;
+    return doc;
 }
 
-int
-runMatrix(const Request &req, const CsvManifest &identity,
-          const std::string &resultPath, const ServerOptions &opts)
+CsvDoc
+runMatrix(const Request &req, const ServerOptions &opts)
 {
     // Nested supervision: this worker forks one grandchild per row,
     // so a crashing cell costs a retry and a repeatedly failing row
@@ -101,7 +98,6 @@ runMatrix(const Request &req, const CsvManifest &identity,
     sup_opts.maxAttempts = opts.maxAttempts;
     sup_opts.backoffBaseSeconds = 0.01;
     sup_opts.backoffCapSeconds = 0.1;
-    sup_opts.workDir = resultPath + ".mx";
     Supervisor sup(sup_opts);
     std::vector<std::string> missing;
     const PerfMatrix matrix = PerfMatrix::build(
@@ -119,13 +115,11 @@ runMatrix(const Request &req, const CsvManifest &identity,
                  miss ? "missing" : "ok"});
         }
     }
-    writeCsv(resultPath, doc, identity, "worker.result");
-    return 0;
+    return doc;
 }
 
-int
-runExplore(const Request &req, const CsvManifest &identity,
-           const std::string &resultPath, const ServerOptions &opts,
+CsvDoc
+runExplore(const Request &req, const ServerOptions &opts,
            const std::string &ckptDir)
 {
     ExplorerOptions eopts;
@@ -154,8 +148,7 @@ runExplore(const Request &req, const CsvManifest &identity,
         row.insert(row.end(), cfg_row.begin(), cfg_row.end());
         doc.rows.push_back(std::move(row));
     }
-    writeCsv(resultPath, doc, identity, "worker.result");
-    return 0;
+    return doc;
 }
 
 } // namespace
@@ -182,8 +175,7 @@ ServerOptions::fromEnv()
     opts.checkpointEvery = envUInt("XPS_SERVE_CKPT_EVERY", 8);
     // Fractional cadences matter here (CI scrapes fast test runs),
     // so this knob alone parses as a double.
-    opts.metricsExportS = std::strtod(
-        envString("XPS_METRICS_EXPORT_S", "0").c_str(), nullptr);
+    opts.metricsExportS = envDouble("XPS_METRICS_EXPORT_S", 0.0);
     return opts;
 }
 
@@ -204,8 +196,6 @@ Server::Server(ServerOptions opts)
     // A client that disconnects mid-response must cost an EPIPE
     // errno, not the daemon's life.
     ::signal(SIGPIPE, SIG_IGN);
-    std::error_code ec;
-    fs::create_directories(opts_.stateDir + "/staging", ec);
 }
 
 Server::~Server()
@@ -323,6 +313,7 @@ Server::boot()
 void
 Server::recoverJournal()
 {
+    uint64_t resumed = 0;
     for (const JournalRecord &rec : journal_.recover()) {
         Request req;
         std::string error;
@@ -336,7 +327,7 @@ Server::recoverJournal()
         const CsvManifest identity = requestIdentity(req);
         CsvDoc doc;
         if (store_.lookup(identity, doc)) {
-            // The crash landed between publish and record removal.
+            // The worker published before the crash.
             journal_.remove(rec.key);
             continue;
         }
@@ -350,14 +341,13 @@ Server::recoverJournal()
                       std::to_string(rec.seq);
         job.req = std::move(req);
         job.identity = identity;
-        job.requestLine = rec.request;
-        job.resultPath =
-            opts_.stateDir + "/staging/" + rec.key + ".csv";
         job.accepted = Clock::now();
         jobs_.push_back(std::move(job));
+        ++resumed;
         inform("journal: resuming job %s (%s)", rec.key.c_str(),
                opName(jobs_.back().req.op));
     }
+    Metrics::global().counter("serve.journal_recovered").add(resumed);
 }
 
 int
@@ -408,8 +398,7 @@ Server::step(int timeoutMs)
         else if (ev & POLLIN)
             readClient(i);
     }
-    // A worker exited: reap, harvest, publish and answer in this same
-    // wake-up.
+    // A worker exited: reap, harvest and answer in this same wake-up.
     for (size_t i = firstWorker; i < fds.size(); ++i) {
         if (fds[i].revents) {
             pool_.poll(0);
@@ -574,11 +563,9 @@ Server::handleCompute(int fd, const Request &req,
     job.key = key;
     job.req = req;
     job.identity = identity;
-    job.requestLine = line;
-    job.resultPath = opts_.stateDir + "/staging/" + key + ".csv";
     job.waiters.emplace_back(fd, req.id);
     job.accepted = Clock::now();
-    journalRecord({key, "accepted", job.seq, line});
+    journalRecord({key, job.seq, line});
     metrics.counter("serve.accepted").add();
     if (Metrics::histogramsEnabled())
         metrics.histogram("serve.queue_depth").record(queued + 1);
@@ -599,30 +586,28 @@ Server::journalRecord(const JournalRecord &rec)
     const uint64_t t1 = obs::detail::nowNs();
     if (obs::enabled())
         obs::detail::emitSpan("serve.journal", "serve", t0, t1,
-                              obs::Args()
-                                  .add("key", rec.key)
-                                  .add("state", rec.state)
-                                  .str());
+                              obs::Args().add("key", rec.key).str());
     if (Metrics::histogramsEnabled())
         Metrics::global().histogram("serve.journal_write")
             .record(t1 - t0);
 }
 
+std::string
+Server::checkpointDir(const std::string &key) const
+{
+    return opts_.stateDir + "/staging/ckpt." + key;
+}
+
 ProcJob
-Server::makeProcJob(Job &job)
+Server::makeProcJob(const Job &job)
 {
     ProcJob pj;
     pj.name = std::string(opName(job.req.op)) + "." + job.key;
     pj.deadlineSeconds = job.req.deadlineS > 0
                              ? job.req.deadlineS
                              : opts_.defaultDeadlineS;
-    const Request req = job.req;
-    const CsvManifest identity = job.identity;
-    const std::string result_path = job.resultPath;
-    const ServerOptions opts = opts_;
-    const std::string ckpt_dir =
-        opts_.stateDir + "/staging/ckpt." + job.key;
-    pj.run = [this, req, identity, result_path, opts, ckpt_dir]() {
+    pj.run = [this, req = job.req, identity = job.identity,
+              key = job.key]() {
         // In the forked worker: drop the daemon's listening socket and
         // client connections. A SIGKILL'd daemon's surviving
         // descendants must not keep its accept queue connectable (a
@@ -633,21 +618,45 @@ Server::makeProcJob(Job &job)
         // (pool.job, sim.run, anneal.*) joins the request's flow in
         // the merged timeline.
         obs::setRequestContext(req.rid);
+        CsvDoc doc;
         switch (req.op) {
           case Request::Op::Whatif:
-            return runWhatif(req, identity, result_path);
+            doc = runWhatif(req);
+            break;
           case Request::Op::Matrix:
-            return runMatrix(req, identity, result_path, opts);
+            doc = runMatrix(req, opts_);
+            break;
           case Request::Op::Explore:
-            return runExplore(req, identity, result_path, opts,
-                              ckpt_dir);
+            doc = runExplore(req, opts_, checkpointDir(key));
+            break;
           default:
             return 125;
         }
+        // Publish first, then report: once the daemon hears of the
+        // result, the store already has it, so the journal record can
+        // go. A degraded result is sent but never cached.
+        const std::string csv = renderCsv(doc, &identity);
+        if (!isDegraded(doc)) {
+            obs::ScopedSpan span("serve.publish", "serve", [&] {
+                return obs::Args().add("key", key);
+            });
+            store_.publish(identity, csv);
+        }
+        ProcPool::sendResult(csv, "worker.result");
+        return 0;
     };
-    pj.onSuccess = [result_path, identity]() {
+    pj.onSuccess = [this, identity = job.identity,
+                    key = job.key](const std::string &csv) {
         CsvDoc doc;
-        return readCsvValidated(result_path, doc, identity);
+        CsvReject reason = CsvReject::None;
+        if (!parseCsvValidated(csv, "result of job " + key, doc,
+                               identity, reason))
+            return false;
+        for (Job &j : jobs_) {
+            if (j.key == key)
+                j.result = std::move(doc);
+        }
+        return true;
     };
     return pj;
 }
@@ -703,8 +712,6 @@ Server::dispatch()
         if (Metrics::histogramsEnabled())
             Metrics::global().histogram("serve.queue_wait")
                 .record(waitNs);
-        journalRecord(
-            {pick->key, "started", pick->seq, pick->requestLine});
         pick->ticket = pool_.submit(makeProcJob(*pick));
         pick->started = true;
         lastServed_[pick->req.client] = pick->seq;
@@ -753,39 +760,9 @@ Server::harvest()
                                  " attempts: " + outcome.lastError));
             continue;
         }
-        CsvDoc doc;
-        if (!readCsvValidated(job.resultPath, doc, job.identity)) {
-            // onSuccess validated this same file; losing it between
-            // merge and harvest is a genuine server-side fault.
-            metrics.counter("serve.failed").add();
-            journal_.remove(job.key);
-            answerWaiters(job, errorResponse(
-                                   "", "result lost before harvest"));
-            continue;
-        }
-        const bool degraded = isDegraded(doc);
-        if (degraded) {
-            // Never cache a degradation a healthy rerun would not
-            // reproduce; the response is marked instead.
+        const bool degraded = isDegraded(job.result);
+        if (degraded) // uncached; the response is marked instead
             metrics.counter("serve.degraded_responses").add();
-        } else {
-            const bool timed =
-                obs::enabled() || Metrics::histogramsEnabled();
-            const uint64_t t0 = timed ? obs::detail::nowNs() : 0;
-            store_.publish(job.identity, doc);
-            if (timed) {
-                const uint64_t t1 = obs::detail::nowNs();
-                if (obs::enabled())
-                    obs::detail::emitSpan(
-                        "serve.publish", "serve", t0, t1,
-                        obs::Args().add("key", job.key).str());
-                if (Metrics::histogramsEnabled())
-                    metrics.histogram("serve.publish")
-                        .record(t1 - t0);
-            }
-        }
-        journalRecord(
-            {job.key, "completed", job.seq, job.requestLine});
         metrics.counter("serve.completed").add();
         const uint64_t jobNs = static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -812,11 +789,16 @@ Server::harvest()
                         });
         for (const auto &[fd, id] : job.waiters) {
             if (connected(fd))
-                respond(fd, okResponse(id, doc, false, degraded));
+                respond(fd, okResponse(id, job.result, false, degraded));
         }
         journal_.remove(job.key);
-        std::error_code ec;
-        fs::remove(job.resultPath, ec);
+        if (job.req.op == Request::Op::Explore) {
+            // The explorer removed its checkpoint files; their
+            // directory goes too. Only when empty: a quarantined job
+            // never gets here and keeps its checkpoints for a rerun.
+            std::error_code ec;
+            fs::remove(checkpointDir(job.key), ec);
+        }
     }
 }
 

@@ -5,18 +5,18 @@
  * the incremental ProcPool engine. Every compute request flows
  *
  *   parse (closed world) -> store lookup -> coalesce -> admission
- *   -> journal(accepted) -> fair-share dispatch -> journal(started)
- *   -> forked worker -> validate -> publish -> journal(completed)
- *   -> respond -> journal remove
+ *   -> journal -> fair-share dispatch -> forked worker: compute,
+ *   publish to the store, send the CSV on the pool pipe -> validate
+ *   once (the pool's onSuccess) -> respond -> journal remove
  *
  * Robustness layers:
  *  - admission control: a bounded queue (XPS_SERVE_QUEUE_MAX) with
  *    least-recently-served fair-share ordering per client; overflow
  *    is shed with an explicit `overloaded` + retry-after hint;
  *  - crash safety: the job journal makes a SIGKILL'd daemon resume
- *    exactly its outstanding jobs on the next boot, and the content-
- *    addressed store turns the publish/remove crash window into a
- *    cache hit instead of a duplicate;
+ *    exactly its outstanding jobs on the next boot, and because the
+ *    worker publishes before it reports, a job whose result reached
+ *    the store is never run twice;
  *  - graceful drain: SIGTERM stops admissions, finishes running jobs
  *    within XPS_SERVE_DRAIN_S, leaves the rest journaled, flushes
  *    metrics/trace, removes socket and pidfile, exits
@@ -25,8 +25,9 @@
  *    the same socket is fatal; a dead one is swept) and orphaned
  *    journal-temp sweeping.
  *
- * Fault sites serve.accept / serve.journal / serve.publish /
- * serve.respond make every one of these seams injectable.
+ * Fault sites serve.accept / serve.journal / serve.respond (loop)
+ * and serve.publish / worker.result (worker) make every one of these
+ * seams injectable.
  */
 
 #ifndef XPS_SERVE_SERVER_HH
@@ -55,8 +56,8 @@ struct ServerOptions
      *  $XPS_RESULTS_DIR/xps-serve.sock). Must fit sun_path. */
     std::string socketPath;
     /** State directory (XPS_SERVE_DIR; default
-     *  $XPS_RESULTS_DIR/serve): store/, journal/, staging/ live
-     *  under it. */
+     *  $XPS_RESULTS_DIR/serve): store/, journal/ and the explore
+     *  checkpoints under staging/ live under it. */
     std::string stateDir;
     /** Max queued-but-not-started jobs before shedding
      *  (XPS_SERVE_QUEUE_MAX). */
@@ -80,8 +81,8 @@ struct ServerOptions
     uint64_t checkpointEvery = 8;
     /** Cadence in seconds for writing a Prometheus text-exposition
      *  snapshot to <stateDir>/metrics.prom (XPS_METRICS_EXPORT_S;
-     *  0 disables). Written atomically (tmp + rename), so a scraper
-     *  never reads a torn file. */
+     *  0 or malformed disables). Written atomically (tmp + rename),
+     *  so a scraper never reads a torn file. */
     double metricsExportS = 0.0;
 
     static ServerOptions fromEnv();
@@ -129,8 +130,8 @@ class Server
         std::string key;
         Request req;
         CsvManifest identity;
-        std::string requestLine;
-        std::string resultPath; ///< staging file the worker publishes
+        /** The worker's result, validated by the pool's onSuccess. */
+        CsvDoc result;
         /** (connection fd, request id) of every coalesced waiter;
          *  recovered jobs start with none. */
         std::vector<std::pair<int, std::string>> waiters;
@@ -158,7 +159,9 @@ class Server
     std::string metricsResponse(const std::string &id) const;
     void journalRecord(const JournalRecord &rec);
     void maybeExportMetrics(bool force);
-    ProcJob makeProcJob(Job &job);
+    /** Where an explore job's annealer checkpoints live. */
+    std::string checkpointDir(const std::string &key) const;
+    ProcJob makeProcJob(const Job &job);
     int drain();
 
     ServerOptions opts_;

@@ -64,29 +64,25 @@ stagingNonce()
     return static_cast<uint32_t>(x ^ (x >> 31));
 }
 
-/**
- * Remove staging files for `path` whose writer is gone: a crash
- * between staging and rename leaves `<path>.tmp.<pid>[.<nonce>]`
- * behind forever otherwise. Only well-formed temp names whose pid no
- * longer exists are touched — a live concurrent writer (kill(pid, 0)
- * succeeds or yields EPERM) keeps its staging file.
- */
+} // namespace
+
+// Only `<name>.tmp.<pid>[.<nonce>]` names whose pid is gone are
+// removed: a live writer (kill(pid, 0) succeeds or yields EPERM)
+// keeps its staging file.
 void
-sweepStaleTemps(const std::filesystem::path &target)
+sweepStaleTemps(const std::string &dir, const std::string &name)
 {
     std::error_code ec;
-    const std::filesystem::path dir = target.has_parent_path()
-                                          ? target.parent_path()
-                                          : std::filesystem::path(".");
-    const std::string prefix = target.filename().string() + ".tmp.";
-    std::filesystem::directory_iterator it(dir, ec);
+    std::filesystem::directory_iterator it(dir.empty() ? "." : dir, ec);
     if (ec)
         return;
     for (const auto &entry : it) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind(prefix, 0) != 0)
+        const std::string file = entry.path().filename().string();
+        const size_t tmp = file.find(".tmp.");
+        if (tmp == std::string::npos ||
+            (!name.empty() && file.compare(0, tmp, name) != 0))
             continue;
-        const std::string rest = name.substr(prefix.size());
+        const std::string rest = file.substr(tmp + 5);
         size_t digits = 0;
         while (digits < rest.size() &&
                std::isdigit(static_cast<unsigned char>(rest[digits])))
@@ -110,8 +106,6 @@ sweepStaleTemps(const std::filesystem::path &target)
         }
     }
 }
-
-} // namespace
 
 void
 atomicWriteFile(const std::string &path, const std::string &content,
@@ -153,7 +147,8 @@ atomicWriteFile(const std::string &path, const std::string &content,
         }
     }
 
-    sweepStaleTemps(fs_path);
+    sweepStaleTemps(fs_path.parent_path().string(),
+                    fs_path.filename().string());
 
     // Pid plus random nonce: concurrent writers of the same target
     // never clobber each other's staging file, even across pid reuse;

@@ -35,6 +35,11 @@ namespace xps
 void atomicWriteFile(const std::string &path, const std::string &content,
                      const char *faultSite = nullptr);
 
+/** Remove from `dir` the staging files of atomicWriteFile() calls
+ *  whose writer died mid-write: those of file `name`, or of every
+ *  file when `name` is empty. */
+void sweepStaleTemps(const std::string &dir, const std::string &name);
+
 /** Read a whole file into `out`; false if it cannot be opened. */
 bool readFile(const std::string &path, std::string &out);
 

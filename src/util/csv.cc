@@ -1,7 +1,6 @@
 #include "util/csv.hh"
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "util/atomic_file.hh"
@@ -39,35 +38,6 @@ splitLine(const std::string &line)
     return cells;
 }
 
-std::string
-renderCsv(const CsvDoc &doc, const CsvManifest *manifest)
-{
-    std::ostringstream out;
-    if (manifest) {
-        out << kManifestMagic << '\n';
-        for (const auto &[key, value] : manifest->entries)
-            out << "# " << key << '=' << value << '\n';
-        out << kManifestEnd << '\n';
-    }
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (size_t i = 0; i < cells.size(); ++i) {
-            checkCell(cells[i]);
-            out << (i ? "," : "") << cells[i];
-        }
-        out << '\n';
-    };
-    emit(doc.header);
-    for (const auto &row : doc.rows) {
-        if (row.size() != doc.header.size())
-            fatal("writeCsv: row width %zu != header width %zu",
-                  row.size(), doc.header.size());
-        emit(row);
-    }
-    if (manifest)
-        out << kFooterPrefix << doc.rows.size() << '\n';
-    return out.str();
-}
-
 struct ParsedCsv
 {
     CsvDoc doc;
@@ -79,33 +49,27 @@ struct ParsedCsv
     uint64_t footerRows = 0;
 };
 
-enum class ParseStatus { Ok, NoFile, Malformed };
+enum class ParseStatus { Ok, Empty, Malformed };
 
 /**
- * One parser for both entry points. In tolerant mode any structural
- * problem yields Malformed instead of fatal() so cache readers can
- * fall back to recomputation.
+ * One parser for every entry point, over bytes already read; `source`
+ * names them in errors. In tolerant mode any structural problem
+ * yields Malformed instead of fatal() so cache readers can fall back
+ * to recomputation.
  */
 ParseStatus
-parseCsv(const std::string &path, bool tolerant, ParsedCsv &out)
+parseCsv(const std::string &content, const std::string &source,
+         bool tolerant, ParsedCsv &out)
 {
-    std::ifstream in(path);
-    if (!in)
-        return ParseStatus::NoFile;
     auto malformed = [&](const char *why) {
         if (!tolerant)
-            fatal("readCsv(%s): %s", path.c_str(), why);
+            fatal("readCsv(%s): %s", source.c_str(), why);
         return ParseStatus::Malformed;
     };
     // Writers always newline-terminate; a missing final newline means
     // the last line is torn mid-write, which validation must reject.
-    in.seekg(0, std::ios::end);
-    if (in.tellg() > 0) {
-        in.seekg(-1, std::ios::end);
-        out.newlineTerminated = in.get() == '\n';
-    }
-    in.clear();
-    in.seekg(0, std::ios::beg);
+    out.newlineTerminated = !content.empty() && content.back() == '\n';
+    std::istringstream in(content);
     std::string line;
     bool first_line = true;
     bool have_header = false;
@@ -161,7 +125,7 @@ parseCsv(const std::string &path, bool tolerant, ParsedCsv &out)
         }
     }
     if (!have_header)
-        return tolerant ? ParseStatus::Malformed : ParseStatus::NoFile;
+        return tolerant ? ParseStatus::Malformed : ParseStatus::Empty;
     if (out.sawManifest && !out.manifestClosed)
         return malformed("unterminated manifest");
     return ParseStatus::Ok;
@@ -212,6 +176,35 @@ CsvManifest::find(const std::string &key) const
     return nullptr;
 }
 
+std::string
+renderCsv(const CsvDoc &doc, const CsvManifest *manifest)
+{
+    std::ostringstream out;
+    if (manifest) {
+        out << kManifestMagic << '\n';
+        for (const auto &[key, value] : manifest->entries)
+            out << "# " << key << '=' << value << '\n';
+        out << kManifestEnd << '\n';
+    }
+    auto emit = [&](const std::vector<std::string> &cells) {
+        for (size_t i = 0; i < cells.size(); ++i) {
+            checkCell(cells[i]);
+            out << (i ? "," : "") << cells[i];
+        }
+        out << '\n';
+    };
+    emit(doc.header);
+    for (const auto &row : doc.rows) {
+        if (row.size() != doc.header.size())
+            fatal("writeCsv: row width %zu != header width %zu",
+                  row.size(), doc.header.size());
+        emit(row);
+    }
+    if (manifest)
+        out << kFooterPrefix << doc.rows.size() << '\n';
+    return out.str();
+}
+
 void
 writeCsv(const std::string &path, const CsvDoc &doc)
 {
@@ -220,16 +213,18 @@ writeCsv(const std::string &path, const CsvDoc &doc)
 
 void
 writeCsv(const std::string &path, const CsvDoc &doc,
-         const CsvManifest &manifest, const char *faultSite)
+         const CsvManifest &manifest)
 {
-    atomicWriteFile(path, renderCsv(doc, &manifest), faultSite);
+    atomicWriteFile(path, renderCsv(doc, &manifest));
 }
 
 bool
 readCsv(const std::string &path, CsvDoc &doc)
 {
+    std::string content;
     ParsedCsv parsed;
-    if (parseCsv(path, false, parsed) != ParseStatus::Ok)
+    if (!readFile(path, content) ||
+        parseCsv(content, path, false, parsed) != ParseStatus::Ok)
         return false;
     doc = std::move(parsed.doc);
     return true;
@@ -308,34 +303,28 @@ countReject(CsvReject reason)
 } // namespace
 
 bool
-readCsvValidated(const std::string &path, CsvDoc &doc,
-                 const CsvManifest &expected, CsvReject &reason)
+parseCsvValidated(const std::string &content, const std::string &source,
+                  CsvDoc &doc, const CsvManifest &expected,
+                  CsvReject &reason)
 {
     reason = CsvReject::None;
     ParsedCsv parsed;
-    switch (parseCsv(path, true, parsed)) {
-      case ParseStatus::Ok:
-        break;
-      case ParseStatus::NoFile:
-        reason = CsvReject::Missing;
-        countReject(reason);
-        return false;
-      case ParseStatus::Malformed:
+    if (parseCsv(content, source, true, parsed) != ParseStatus::Ok) {
         reason = CsvReject::Malformed;
         countReject(reason);
-        warn("cache %s is malformed; recomputing", path.c_str());
+        warn("cache %s is malformed; recomputing", source.c_str());
         return false;
     }
     if (!parsed.sawManifest) {
         reason = CsvReject::NoManifest;
         countReject(reason);
-        warn("cache %s has no manifest; recomputing", path.c_str());
+        warn("cache %s has no manifest; recomputing", source.c_str());
         return false;
     }
     if (!(parsed.manifest == expected)) {
         reason = classifyManifestDiff(parsed.manifest, expected);
         countReject(reason);
-        warn("cache %s is stale (%s); recomputing", path.c_str(),
+        warn("cache %s is stale (%s); recomputing", source.c_str(),
              csvRejectName(reason));
         return false;
     }
@@ -344,11 +333,24 @@ readCsvValidated(const std::string &path, CsvDoc &doc,
         reason = CsvReject::Truncated;
         countReject(reason);
         warn("cache %s is torn (missing or wrong footer); recomputing",
-             path.c_str());
+             source.c_str());
         return false;
     }
     doc = std::move(parsed.doc);
     return true;
+}
+
+bool
+readCsvValidated(const std::string &path, CsvDoc &doc,
+                 const CsvManifest &expected, CsvReject &reason)
+{
+    std::string content;
+    if (!readFile(path, content)) {
+        reason = CsvReject::Missing;
+        countReject(reason);
+        return false;
+    }
+    return parseCsvValidated(content, path, doc, expected, reason);
 }
 
 bool

@@ -62,13 +62,13 @@ struct CsvManifest
 /** Atomically write a document (no manifest: ad-hoc outputs). */
 void writeCsv(const std::string &path, const CsvDoc &doc);
 
-/** Atomically write a cache document with manifest header and
- *  integrity footer. `faultSite`, when non-null, names the
- *  fault-injection site the underlying atomicWriteFile visits
- *  (util/fault.hh) — supervised publish paths pass their site. */
+/** A document as the bytes writeCsv() writes; with a manifest, as a
+ *  cache document (manifest header and integrity footer). */
+std::string renderCsv(const CsvDoc &doc, const CsvManifest *manifest);
+
+/** Atomically write a cache document. */
 void writeCsv(const std::string &path, const CsvDoc &doc,
-              const CsvManifest &manifest,
-              const char *faultSite = nullptr);
+              const CsvManifest &manifest);
 
 /**
  * Read a document; returns false if the file does not exist. Comment
@@ -117,6 +117,13 @@ bool readCsvValidated(const std::string &path, CsvDoc &doc,
                       const CsvManifest &expected);
 bool readCsvValidated(const std::string &path, CsvDoc &doc,
                       const CsvManifest &expected, CsvReject &reason);
+
+/** The content form of readCsvValidated(): the same checks over bytes
+ *  already in memory (a result a worker sent home). `source` names
+ *  them in warnings. A file read is readFile() plus this parse. */
+bool parseCsvValidated(const std::string &content,
+                       const std::string &source, CsvDoc &doc,
+                       const CsvManifest &expected, CsvReject &reason);
 
 } // namespace xps
 

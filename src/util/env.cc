@@ -1,6 +1,7 @@
 #include "util/env.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -95,6 +96,23 @@ envUInt(const char *name, uint64_t def)
                  static_cast<unsigned long long>(def));
         return def;
     }
+    return def;
+}
+
+double
+envDouble(const char *name, double def)
+{
+    const char *val = std::getenv(name);
+    if (!val || !*val)
+        return def;
+    char *end = nullptr;
+    const double parsed = std::strtod(val, &end);
+    if (end != val && *end == '\0' && std::isfinite(parsed) &&
+        parsed >= 0)
+        return parsed;
+    if (warnOnce(name))
+        warn("%s='%s' is not a non-negative finite number; using the "
+             "default %g", name, val, def);
     return def;
 }
 

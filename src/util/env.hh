@@ -82,14 +82,15 @@
  *   XPS_LOG_RATE         max structured log events per (component,
  *                        level) per second; excess is counted and
  *                        summarized (default 200, 0 = unlimited)
- *   XPS_METRICS_EXPORT_S cadence in seconds (double; fractions ok)
- *                        for the serve daemon's atomic Prometheus
+ *   XPS_METRICS_EXPORT_S cadence in seconds (finite, >= 0; fractions
+ *                        ok) for the serve daemon's atomic Prometheus
  *                        text-exposition snapshot at
  *                        <state-dir>/metrics.prom (default 0 = off)
  *
- * Malformed numeric values (garbage, overflow, and negatives where a
- * count is expected) warn once and fall back to the documented
- * default — a typo'd knob degrades a run instead of crashing it.
+ * Malformed numeric values (garbage, overflow, NaN, infinity, and
+ * negatives where a count or a duration is expected) warn once and
+ * fall back to the documented default — a typo'd knob degrades a run
+ * instead of crashing it.
  */
 
 #ifndef XPS_UTIL_ENV_HH
@@ -109,6 +110,11 @@ int64_t envInt(const char *name, int64_t def);
  *  Malformed, overflowing, or negative values warn once and yield the
  *  default. */
 uint64_t envUInt(const char *name, uint64_t def);
+
+/** Read a non-negative, finite floating-point environment variable
+ *  with a default. Garbage, negative, NaN and infinite values warn
+ *  once and yield the default. */
+double envDouble(const char *name, double def);
 
 /** Read a string environment variable with a default. */
 std::string envString(const char *name, const std::string &def);

@@ -26,13 +26,13 @@ namespace
  */
 const Site kSites[] = {
     {"worker.start", false},     // procpool child, right after fork
-    {"worker.result", true},     // supervised job result publish
+    {"worker.result", true},     // worker's result frame to the pool
     {"checkpoint.write", true},  // per-workload annealing checkpoint
-    {"cell.publish", true},      // supervised perf-matrix row publish
+    {"cell.publish", true},      // perf-matrix row's result frame
     {"sim.run", false},          // simulate() entry (the eval hot path)
     {"serve.accept", false},     // daemon, right after accept()
     {"serve.journal", true},     // daemon job-journal record write
-    {"serve.publish", true},     // daemon result-store publish
+    {"serve.publish", true},     // serve worker's result-store publish
     {"serve.respond", false},    // daemon, before the response write
 };
 constexpr size_t kNumSites = sizeof(kSites) / sizeof(kSites[0]);

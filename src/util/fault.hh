@@ -21,9 +21,10 @@
  *   crash       _exit(kCrashExitCode) with no cleanup, like a SIGKILL
  *   hang        stop making progress (sleep loop) until killed — the
  *               supervisor's heartbeat/deadline machinery must reap it
- *   shortwrite  only at write-capable sites: the target file is left
- *               torn (a truncated prefix) and the process then dies as
- *               for `crash`. At control sites it degrades to `crash`.
+ *   shortwrite  only at write-capable sites: the target file (or the
+ *               result frame on a worker's pool pipe) is left torn, a
+ *               truncated prefix, and the process then dies as for
+ *               `crash`. At control sites it degrades to `crash`.
  *   enospc      only at write-capable sites: the write fails as if the
  *               disk were full (fatal(), exit code 1). Degrades to
  *               `crash` at control sites.
@@ -91,7 +92,8 @@ Kind fireSlow(const char *site);
 /**
  * Visit a write-capable site and learn what to do. Crash and hang are
  * executed internally (the call does not return); ShortWrite/Enospc
- * are returned for the caller (atomicWriteFile) to realize.
+ * are returned for the caller (atomicWriteFile, or
+ * ProcPool::sendResult) to realize.
  */
 inline Kind
 fire(const char *site)

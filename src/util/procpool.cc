@@ -10,6 +10,7 @@
 #endif
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -58,30 +59,26 @@ int g_beat_fd = -1;
 Clock::time_point g_last_beat;
 double g_beat_interval = 0.05;
 
-/** Frames the metrics-rollup payload on the heartbeat pipe. '\x01'
- *  can appear in no beat byte and no JSON payload, so the parent can
- *  find the frame with one reverse search. */
+/** Frames start with '\x01', which no beat byte is. A result frame is
+ *  its marker, the payload length in hex, and the payload; the rollup
+ *  frame after it is its marker and one JSON line. */
+constexpr char kResultMarker[] = "\x01XPSRESULT\x01";
+constexpr size_t kResultMarkerLen = sizeof(kResultMarker) - 1;
+constexpr size_t kLengthDigits = 16;
 constexpr char kRollupMarker[] = "\x01XPSROLLUP\x01";
 
-/** Child side, right before _exit: ship this worker's metrics delta
- *  to the supervisor. The write end is switched to blocking — the
- *  payload must arrive whole, and the parent drains the pipe every
- *  poll() so the write cannot stall. */
+/** Child side: write a whole frame, blocking — the parent drains the
+ *  pipe every poll(), so it cannot stall — then restore the
+ *  non-blocking mode beats rely on. */
 void
-writeRollup()
+writeFrame(const std::string &frame)
 {
-    if (g_beat_fd < 0)
-        return;
-    const std::string payload = std::string(kRollupMarker) +
-                                Metrics::global().serializeRollup() +
-                                "\n";
     const int fl = ::fcntl(g_beat_fd, F_GETFL);
-    if (fl >= 0)
-        ::fcntl(g_beat_fd, F_SETFL, fl & ~O_NONBLOCK);
+    ::fcntl(g_beat_fd, F_SETFL, fl & ~O_NONBLOCK);
     size_t off = 0;
-    while (off < payload.size()) {
-        const ssize_t n = ::write(g_beat_fd, payload.data() + off,
-                                  payload.size() - off);
+    while (off < frame.size()) {
+        const ssize_t n = ::write(g_beat_fd, frame.data() + off,
+                                  frame.size() - off);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -89,6 +86,7 @@ writeRollup()
         }
         off += static_cast<size_t>(n);
     }
+    ::fcntl(g_beat_fd, F_SETFL, fl);
 }
 
 uint64_t
@@ -133,6 +131,28 @@ ProcPool::beat()
     // in the buffer proves liveness).
     [[maybe_unused]] const ssize_t n = ::write(g_beat_fd, "b", 1);
     obs::instant("pool.beat", "pool");
+}
+
+void
+ProcPool::sendResult(const std::string &payload, const char *faultSite)
+{
+    if (g_beat_fd < 0)
+        fatal("procpool: sendResult called outside a pool worker");
+    char length[kLengthDigits + 1];
+    std::snprintf(length, sizeof(length), "%016llx",
+                  static_cast<unsigned long long>(payload.size()));
+    std::string frame = std::string(kResultMarker) + length + payload;
+    const fault::Kind kind =
+        faultSite ? fault::fire(faultSite) : fault::Kind::None;
+    if (kind == fault::Kind::Enospc)
+        fatal("procpool: sending the result failed: %s (injected at "
+              "%s)", std::strerror(ENOSPC), faultSite);
+    if (kind == fault::Kind::ShortWrite) {
+        frame.resize(frame.size() / 2); // a worker dying mid-send
+        writeFrame(frame);
+        ::_exit(fault::kCrashExitCode);
+    }
+    writeFrame(frame);
 }
 
 uint64_t
@@ -287,7 +307,8 @@ ProcPool::spawn(uint64_t ticket)
         // with the process.
         obs::flushTrace();
         obs::log::flushLog();
-        writeRollup();
+        writeFrame(kRollupMarker + Metrics::global().serializeRollup() +
+                   "\n");
         ::_exit(rc & 0xff);
     }
     ::close(pipe_fds[1]);
@@ -333,51 +354,67 @@ ProcPool::recordAttempt(const Active &a, Clock::time_point end,
 }
 
 /**
- * Drain what the reaped worker left in its pipe and fold a complete
- * rollup frame into the parent registry. A frame without its trailing
- * newline is the torn tail of a dying worker: counted
- * (pool.rollups_torn), never merged partially.
+ * Drain the reaped worker's pipe: its result frame into `result`
+ * (false if the frame was cut short) and its metrics rollup into the
+ * parent registry. A rollup without its newline is a dying worker's
+ * torn tail: counted (pool.rollups_torn), never merged partially.
  */
-void
-ProcPool::harvestRollup(Active &a)
+bool
+ProcPool::harvestPipe(Active &a, std::string &result)
 {
     char buf[4096];
     ssize_t n;
     while ((n = ::read(a.pipeRd, buf, sizeof(buf))) > 0)
         a.pipeBuf.append(buf, static_cast<size_t>(n));
-    const size_t at = a.pipeBuf.rfind(kRollupMarker);
-    if (at == std::string::npos)
-        return; // killed before the frame: nothing was shipped
-    std::string payload =
-        a.pipeBuf.substr(at + sizeof(kRollupMarker) - 1);
-    Metrics &metrics = Metrics::global();
-    if (payload.empty() || payload.back() != '\n') {
-        metrics.counter("pool.rollups_torn").add();
-        return;
+    const std::string &in = a.pipeBuf;
+    size_t pos = in.find('\x01');
+    if (pos == std::string::npos)
+        return true; // no frame: killed early, or nothing to send
+    if (in.compare(pos, kResultMarkerLen, kResultMarker) == 0) {
+        const size_t body = pos + kResultMarkerLen + kLengthDigits;
+        const char *digits = in.data() + pos + kResultMarkerLen;
+        uint64_t length = 0;
+        if (body > in.size() ||
+            std::from_chars(digits, digits + kLengthDigits, length, 16)
+                    .ptr != digits + kLengthDigits ||
+            length > in.size() - body)
+            return false; // and no rollup can follow a cut frame
+        result.assign(in, body, length);
+        pos = body + length;
     }
-    payload.pop_back();
-    if (metrics.mergeRollup(payload))
-        metrics.counter("pool.rollups_merged").add();
-    else
-        metrics.counter("pool.rollups_torn").add();
+    const size_t at = in.find(kRollupMarker, pos);
+    if (at == std::string::npos)
+        return true; // killed before the rollup: nothing was shipped
+    std::string rollup = in.substr(at + sizeof(kRollupMarker) - 1);
+    Metrics &metrics = Metrics::global();
+    const bool ended = !rollup.empty() && rollup.back() == '\n';
+    if (ended)
+        rollup.pop_back();
+    metrics.counter(ended && metrics.mergeRollup(rollup)
+                        ? "pool.rollups_merged"
+                        : "pool.rollups_torn").add();
+    return true;
 }
 
 // Reap one active slot whose child exited on its own.
 void
 ProcPool::handleExit(size_t slot, int status)
 {
-    Active a = active_[slot];
+    Active a = std::move(active_[slot]);
     active_.erase(active_.begin() + static_cast<long>(slot));
-    harvestRollup(a);
+    std::string result;
+    const bool whole = harvestPipe(a, result);
     ::close(a.pipeRd);
     ProcJobOutcome &o = outcomes_.at(a.ticket);
     o.attempts += 1;
     const ProcJob &job = jobs_.at(a.ticket);
     if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-        if (job.onSuccess && !job.onSuccess()) {
-            recordAttempt(a, Clock::now(), "merge rejected", 0, 0);
+        if (!whole || (job.onSuccess && !job.onSuccess(result))) {
+            recordAttempt(a, Clock::now(),
+                          whole ? "merge rejected" : "result torn", 0, 0);
             failAttempt(a.ticket, false,
-                        "result rejected by the merge step");
+                        whole ? "result rejected by the merge step"
+                              : "result frame cut short");
             return;
         }
         recordAttempt(a, Clock::now(), "ok", 0, 0);
@@ -445,12 +482,12 @@ ProcPool::poll(int timeoutMs)
                 a.hungUp = t;
             if (!(fds[k].revents & POLLIN))
                 continue;
-            char buf[256];
+            char buf[4096];
             ssize_t n;
             while ((n = ::read(a.pipeRd, buf, sizeof(buf))) > 0)
                 a.pipeBuf.append(buf, static_cast<size_t>(n));
-            // Pure beat traffic is discarded as it arrives — only a
-            // (possibly partial) rollup frame is worth keeping, so a
+            // Pure beat traffic is discarded as it arrives — only
+            // (possibly partial) frames are worth keeping, so a
             // long-lived worker cannot grow the buffer.
             const size_t frame = a.pipeBuf.find('\x01');
             if (frame == std::string::npos)
@@ -495,7 +532,7 @@ ProcPool::poll(int timeoutMs)
             ++i;
             continue;
         }
-        Active a = active_[i];
+        Active a = std::move(active_[i]);
         active_.erase(active_.begin() + static_cast<long>(i));
         obs::instant("pool.kill", "pool", [&] {
             return obs::Args()
@@ -505,7 +542,8 @@ ProcPool::poll(int timeoutMs)
         });
         ::kill(a.pid, SIGKILL);
         ::waitpid(a.pid, &status, 0);
-        harvestRollup(a); // a torn frame still counts
+        std::string discarded; // a killed attempt's result is void
+        harvestPipe(a, discarded); // a torn rollup still counts
         ::close(a.pipeRd);
         outcomes_.at(a.ticket).attempts += 1;
         recordAttempt(a, t, hung ? "hang" : "deadline", -1, SIGKILL);

@@ -17,13 +17,13 @@
  *    the rest of the batch keeps running: graceful degradation, never
  *    a six-hour suite aborted by one bad cell.
  *
- * Results cross the process boundary through files the job writes
- * itself (the atomicWriteFile path), validated by the parent-side
- * `onSuccess` merge callback; a merge that returns false counts as a
- * failed attempt. A killed worker therefore can never publish a torn
- * result. Explorer rounds and matrix rows reach the pool through the
- * process backend of explore/supervisor.hh, which owns those staging
- * files; the xps-serve daemon drives the pool directly.
+ * A job's result comes home on the same pipe, as one length-prefixed
+ * frame the worker writes with sendResult(); after a zero exit the
+ * parent hands it to the job's `onSuccess` merge. A rejected merge or
+ * a cut frame is a failed attempt, so a dying worker never delivers a
+ * torn result, and no result touches a file. Explorer rounds and
+ * matrix rows reach the pool through explore/supervisor.hh; the
+ * xps-serve daemon drives it directly.
  *
  * The supervisor loop is single-threaded and must be entered with no
  * live worker std::threads (fork + threads do not mix); parallelFor
@@ -39,7 +39,7 @@
  * counters and latency histograms (sim.run, anneal.step, ...) would
  * die with its address space. Instead the child zeroes its inherited
  * registry right after fork and, before _exit, ships the delta as a
- * marker-framed JSON line over the heartbeat pipe; the supervisor
+ * marker-framed JSON line after the result frame; the supervisor
  * folds it into the parent registry bucket-wise at reap
  * (pool.rollups_merged / pool.rollups_torn), so the daemon's metrics
  * op and the final XPS_METRICS_JSON dump include worker-side work.
@@ -66,14 +66,14 @@ struct ProcJob
     std::string name; ///< for logs, metrics and backoff jitter
 
     /** Runs in the forked child; the return value is the child's exit
-     *  code (0 = success). Publish results to files before returning
-     *  — child memory is gone afterwards. */
+     *  code (0 = success). Hand the result to ProcPool::sendResult()
+     *  before returning — child memory is gone afterwards. */
     std::function<int()> run;
 
-    /** Parent-side merge/validation, called after a zero exit; return
-     *  false to reject the attempt (it is retried like a crash).
-     *  Optional. */
-    std::function<bool()> onSuccess;
+    /** Parent-side merge/validation of the bytes the worker sent
+     *  (empty if none), called after a zero exit; return false to
+     *  reject the attempt (it is retried like a crash). Optional. */
+    std::function<bool(const std::string &payload)> onSuccess;
 
     /** Wall-clock limit per attempt in seconds; 0 = unlimited. */
     double deadlineSeconds = 0.0;
@@ -103,8 +103,8 @@ struct ProcAttempt
     int attempt = 0;               ///< 1-based attempt number
     double startMonoSeconds = 0.0; ///< fork observed (parent side)
     double endMonoSeconds = 0.0;   ///< reap / kill observed
-    /** "ok", "merge rejected", "exit N", "signal N", "hang",
-     *  "deadline". */
+    /** "ok", "merge rejected", "result torn", "exit N", "signal N",
+     *  "hang", "deadline". */
     std::string outcome;
     int exitCode = -1; ///< valid when the child exited normally
     int signal = 0;    ///< terminating signal (SIGKILL for kills)
@@ -122,7 +122,7 @@ struct ProcJobOutcome
     };
     Status status = Status::Done;
     int attempts = 0; ///< attempts consumed (completed or killed)
-    int crashes = 0;  ///< non-zero exits, signals, rejected merges
+    int crashes = 0;  ///< non-zero exits, signals, rejected results
     int hangs = 0;    ///< heartbeat or deadline kills
     std::string lastError; ///< human-readable cause of the last failure
     /** Every attempt in order, with timing and exit detail (feeds
@@ -209,6 +209,13 @@ class ProcPool
      *  internally and a no-op when not inside a worker process. */
     static void beat();
 
+    /** Child side, once, from the worker's thread: send any bytes
+     *  to the job's onSuccess. `faultSite`, when non-null, is visited
+     *  first (util/fault.hh): `shortwrite` sends a cut frame and dies
+     *  as for `crash`, `enospc` fails as fatal() does. */
+    static void sendResult(const std::string &payload,
+                           const char *faultSite = nullptr);
+
     const ProcPoolOptions &options() const { return opts_; }
 
   private:
@@ -230,7 +237,7 @@ class ProcPool
         /** When poll() first saw the pipe hang up; epoch while open. */
         Clock::time_point hungUp{};
         /** Bytes read off the heartbeat pipe: beats, then (on a clean
-         *  worker exit) the marker-framed metrics rollup payload. */
+         *  worker exit) the result frame and the metrics rollup. */
         std::string pipeBuf;
     };
     struct Pending
@@ -240,7 +247,7 @@ class ProcPool
     };
 
     void spawn(uint64_t ticket);
-    void harvestRollup(Active &a);
+    bool harvestPipe(Active &a, std::string &result);
     void failAttempt(uint64_t ticket, bool hang, const std::string &why);
     void recordAttempt(const Active &a, Clock::time_point end,
                        std::string outcome, int exitCode, int sig);

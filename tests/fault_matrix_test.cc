@@ -165,7 +165,7 @@ miniSuite()
 }
 
 SupervisorOptions
-faultSupervisor(const std::string &workDir)
+faultSupervisor()
 {
     SupervisorOptions opts;
     opts.workers = 2;
@@ -173,7 +173,6 @@ faultSupervisor(const std::string &workDir)
     opts.maxAttempts = 3;
     opts.backoffBaseSeconds = 0.01;
     opts.backoffCapSeconds = 0.05;
-    opts.workDir = workDir;
     return opts;
 }
 
@@ -244,12 +243,11 @@ TEST_P(FaultMatrix, OneInjectedFaultIsInvisibleInTheResults)
         const PerfMatrix &golden = goldenMatrix();
         const auto suite = miniSuite();
         const auto configs = miniConfigs(suite);
-        const std::string dir = freshDir(tag);
         fault::armSchedule(spec(s));
         logSchedule(
             std::string("FaultMatrix.") + tag + "/matrix",
             fault::activeSchedule());
-        Supervisor sup(faultSupervisor(dir));
+        Supervisor sup(faultSupervisor());
         std::vector<std::string> missing;
         const PerfMatrix faulted = PerfMatrix::build(
             suite, configs, 4000, sup, "", &missing);
@@ -269,18 +267,16 @@ TEST_P(FaultMatrix, OneInjectedFaultIsInvisibleInTheResults)
         EXPECT_GE(report.crashes + report.hangs, 1u);
         EXPECT_GE(report.retries, 1u);
         EXPECT_TRUE(report.quarantined.empty());
-        std::filesystem::remove_all(dir);
         return;
     }
 
     // Every other site lives in the supervised exploration path.
     // Golden first, for the same armed-visit-count reason as above.
     const auto &golden = goldenExploration();
-    const std::string work = freshDir(tag + "_w");
     const std::string ckpt = freshDir(tag + "_c");
     ExplorerOptions opts = miniOpts(9);
     opts.supervised = true;
-    opts.supervisorOpts = faultSupervisor(work);
+    opts.supervisorOpts = faultSupervisor();
     opts.checkpointEvery = 4;
     opts.checkpointDir = ckpt;
 
@@ -298,7 +294,6 @@ TEST_P(FaultMatrix, OneInjectedFaultIsInvisibleInTheResults)
     EXPECT_GE(report.retries, 1u);
     EXPECT_TRUE(report.quarantined.empty());
     EXPECT_TRUE(std::filesystem::is_empty(ckpt));
-    std::filesystem::remove_all(work);
     std::filesystem::remove_all(ckpt);
 }
 

@@ -367,7 +367,6 @@ TEST(TracerFault, SupervisedRunSurvivesCheckpointCrash)
     opts.supervisorOpts.maxAttempts = 3;
     opts.supervisorOpts.backoffBaseSeconds = 0.01;
     opts.supervisorOpts.backoffCapSeconds = 0.05;
-    opts.supervisorOpts.workDir = dir + "/staging";
 
     fault::armSchedule("checkpoint.write:crash:1");
     Explorer explorer({profileByName("gzip"), profileByName("mcf")},

@@ -38,6 +38,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -256,24 +257,23 @@ goldenWhatifResults()
     return resultsOf(resp);
 }
 
+/** True once an explore job's annealer has written a checkpoint under
+ *  <dir>/staging/ckpt.<key>/: its worker is mid-exploration. */
 bool
-waitForJournalState(const std::string &dir, const std::string &state,
-                    double timeoutS)
+waitForCheckpoint(const std::string &dir, double timeoutS)
 {
-    const std::string needle = "\"state\":\"" + state + "\"";
     for (int i = 0; i < static_cast<int>(timeoutS * 100); ++i) {
         std::error_code ec;
-        for (const auto &entry :
-             fs::directory_iterator(dir + "/journal", ec)) {
-            const std::string name = entry.path().filename().string();
-            if (name.rfind("job.", 0) != 0 ||
-                name.find(".tmp.") != std::string::npos)
+        for (const auto &job :
+             fs::directory_iterator(dir + "/staging", ec)) {
+            if (job.path().filename().string().rfind("ckpt.", 0) != 0)
                 continue;
-            std::ifstream in(entry.path());
-            std::string content((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-            if (content.find(needle) != std::string::npos)
-                return true;
+            for (const auto &file :
+                 fs::directory_iterator(job.path(), ec)) {
+                if (file.path().filename().string().find(".tmp.") ==
+                    std::string::npos)
+                    return true;
+            }
         }
         ::usleep(10000);
     }
@@ -312,6 +312,12 @@ TEST(ServeProtocol, PingStatsAndClosedWorldErrors)
              "\"configs\":[{}]}",
              "{\"op\":\"explore\",\"workloads\":[\"gzip\"],"
              "\"rounds\":99}",
+             // One name is one result row, one identity entry and one
+             // explorer checkpoint file: a repeat is an error.
+             "{\"op\":\"explore\",\"workloads\":[\"gzip\",\"gzip\"],"
+             "\"instrs\":5000,\"sa_iters\":24,\"rounds\":2,\"seed\":3}",
+             "{\"op\":\"matrix\",\"workloads\":[\"gzip\",\"gzip\"],"
+             "\"configs\":[{},{}]}",
          }) {
         const std::string resp = rpc(d.sock, bad);
         EXPECT_EQ(statusOf(resp), "error") << bad << " -> " << resp;
@@ -319,6 +325,12 @@ TEST(ServeProtocol, PingStatsAndClosedWorldErrors)
         ASSERT_TRUE(obs::json::parse(resp, v)) << resp;
         EXPECT_FALSE(v.stringOr("error", "").empty()) << resp;
     }
+
+    const std::string repeat = rpc(
+        d.sock, "{\"op\":\"whatif\",\"workloads\":[\"mcf\",\"gzip\","
+                "\"mcf\"]}");
+    EXPECT_NE(repeat.find("'mcf' is repeated"), std::string::npos)
+        << repeat;
 
     // Still alive and serving after all that abuse.
     EXPECT_EQ(statusOf(rpc(d.sock, "{\"op\":\"ping\"}")), "ok");
@@ -586,8 +598,8 @@ TEST(ServeJournal, SigkillMidJobResumesBitIdentical)
     golden.stopGracefully();
     fs::remove_all(goldenDir);
 
-    // Victim: kill -9 the daemon the moment the job is journaled as
-    // started (the worker is mid-exploration).
+    // Victim: kill -9 the daemon the moment the job's first annealer
+    // checkpoint lands (the worker is mid-exploration).
     const std::string dir = shortTempDir();
     {
         Daemon victim(dir);
@@ -598,8 +610,8 @@ TEST(ServeJournal, SigkillMidJobResumesBitIdentical)
         ASSERT_TRUE(client.connect(victim.sock, 10.0))
             << client.error();
         ASSERT_TRUE(client.send(req)) << client.error();
-        ASSERT_TRUE(waitForJournalState(dir, "started", 30.0))
-            << "job never reached the journal";
+        ASSERT_TRUE(waitForCheckpoint(dir, 30.0))
+            << "job never wrote a checkpoint";
         victim.sigkill();
     }
     // The kill left the socket, pidfile and journal record behind.
@@ -632,8 +644,8 @@ TEST(ServeBoot, SweepsStaleSocketPidfileAndJournalDebris)
     fs::create_directories(dir + "/journal");
     // A dead daemon's droppings: pidfile with an impossible pid, a
     // leftover socket file, an orphaned journal staging temp, a torn
-    // journal record, and a completed record whose response was
-    // already delivered.
+    // journal record, and a record from an older daemon (it carries a
+    // `state`) whose request does not parse.
     std::ofstream(sock) << "";
     std::ofstream(sock + ".pid") << "999999999\n";
     const std::string orphan =
@@ -729,6 +741,33 @@ TEST(ServeOptions, JobRetriesCountRetriesInBothResolvers)
         ::setenv("XPS_JOB_RETRIES", saved.c_str(), 1);
     else
         ::unsetenv("XPS_JOB_RETRIES");
+}
+
+// The cadence is a duration: anything that is not a finite,
+// non-negative number turns the export off, with one warning.
+TEST(ServeOptions, MetricsExportCadenceRejectsNonNumbers)
+{
+    const char *old = std::getenv("XPS_METRICS_EXPORT_S");
+    const std::string saved = old ? old : "";
+    testing::internal::CaptureStderr();
+    for (const char *bad : {"nan", "inf", "-1", "abc"}) {
+        ::setenv("XPS_METRICS_EXPORT_S", bad, 1);
+        EXPECT_EQ(serve::ServerOptions::fromEnv().metricsExportS, 0.0)
+            << bad;
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    ::setenv("XPS_METRICS_EXPORT_S", "0.05", 1);
+    EXPECT_EQ(serve::ServerOptions::fromEnv().metricsExportS, 0.05);
+    if (old)
+        ::setenv("XPS_METRICS_EXPORT_S", saved.c_str(), 1);
+    else
+        ::unsetenv("XPS_METRICS_EXPORT_S");
+    size_t warnings = 0;
+    for (size_t at = err.find("XPS_METRICS_EXPORT_S");
+         at != std::string::npos;
+         at = err.find("XPS_METRICS_EXPORT_S", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
 }
 
 TEST(ServeBoot, NoRetriesBootsAndAnswersPing)
@@ -987,6 +1026,39 @@ TEST(ServeTrace, ExploreRequestFlowsClientToDaemonToWorker)
     EXPECT_TRUE(sawCompletion)
         << "no rid-stamped completion event in " << log;
     EXPECT_TRUE(sawSentinel) << "the daemon's merge lost a shard";
+    fs::remove_all(dir);
+}
+
+// A worker torn mid-publish leaves a store entry no lookup accepts:
+// with no retry its job fails explicitly, and the next ask rejects the
+// torn entry and recomputes the golden bytes.
+TEST(ServeStore, TornWorkerPublishIsRejectedThenRecomputed)
+{
+    const std::string want = goldenWhatifResults();
+    ASSERT_FALSE(want.empty());
+    const std::string dir = shortTempDir();
+    Daemon d(dir);
+    d.flags = {"--workers", "1"};
+    d.env = {{"XPS_FAULTS", "serve.publish:shortwrite:1"},
+             {"XPS_JOB_RETRIES", "0"}};
+    d.start();
+
+    const std::string failed = rpc(d.sock, kWhatifReq, 120.0);
+    EXPECT_EQ(statusOf(failed), "error") << failed;
+    const std::string again = rpc(d.sock, kWhatifReq, 120.0);
+    ASSERT_EQ(statusOf(again), "ok") << again;
+    EXPECT_NE(again.find("\"cache\":\"miss\""), std::string::npos)
+        << again;
+    EXPECT_EQ(resultsOf(again), want);
+
+    const std::string live = rpc(d.sock, "{\"op\":\"metrics\"}");
+    obs::json::Value v;
+    ASSERT_TRUE(obs::json::parse(live, v)) << live;
+    const double rejected =
+        std::max(0.0, counterIn(v, "cache.reject_reason.truncated")) +
+        std::max(0.0, counterIn(v, "cache.reject_reason.malformed"));
+    EXPECT_GE(rejected, 1.0) << live;
+    d.stopGracefully();
     fs::remove_all(dir);
 }
 

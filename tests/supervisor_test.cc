@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -95,7 +96,7 @@ miniSuite()
 }
 
 SupervisorOptions
-fastSupervisor(const std::string &workDir)
+fastSupervisor()
 {
     SupervisorOptions opts;
     opts.workers = 2;
@@ -103,7 +104,6 @@ fastSupervisor(const std::string &workDir)
     opts.maxAttempts = 3;
     opts.backoffBaseSeconds = 0.01;
     opts.backoffCapSeconds = 0.05;
-    opts.workDir = workDir;
     return opts;
 }
 
@@ -138,7 +138,9 @@ TEST(ProcPool, RunsJobsToCompletion)
             atomicWriteFile(out, "done");
             return 0;
         };
-        job.onSuccess = [out]() { return fileExists(out); };
+        job.onSuccess = [out](const std::string &) {
+            return fileExists(out);
+        };
         jobs.push_back(std::move(job));
     }
     const auto outcomes = ProcPool(fastPool()).run(jobs);
@@ -280,7 +282,7 @@ TEST(ProcPool, RejectedMergeIsRetried)
     std::vector<ProcJob> jobs(1);
     jobs[0].name = "picky-merge";
     jobs[0].run = []() { return 0; };
-    jobs[0].onSuccess = [marker]() {
+    jobs[0].onSuccess = [marker](const std::string &) {
         if (!fileExists(marker)) {
             touch(marker);
             return false; // reject the first attempt's result
@@ -455,12 +457,150 @@ TEST(ProcPool, WorkerOutlivingItsPipeIsNotSpunOn)
         << done[0].second.lastError;
 }
 
+// --- results on the pipe ---------------------------------------------------
+
+namespace
+{
+
+/** 256 KiB, four times the default pipe buffer, holding every byte
+ *  value ('\x01', '\n' and NUL included) and a rollup-frame
+ *  lookalike: nothing in a payload may confuse the framing. */
+std::string
+bulkyPayload()
+{
+    std::string payload;
+    for (size_t i = 0; payload.size() < 256 * 1024; ++i) {
+        payload.push_back(static_cast<char>((i * 131 + (i >> 8)) & 0xff));
+        if (i == 100000)
+            payload += "\x01XPSROLLUP\x01{}\n";
+    }
+    return payload;
+}
+
+/** The xps-serve loop: wait on the pool's fds for their hang-up, then
+ *  sweep. `busyMs` bounds the wait while a worker is live. */
+std::vector<std::pair<uint64_t, ProcJobOutcome>>
+loopUntilDone(ProcPool &pool, int busyMs)
+{
+    std::vector<std::pair<uint64_t, ProcJobOutcome>> done;
+    while (pool.inFlight() > 0) {
+        std::vector<pollfd> fds;
+        for (const int fd : pool.wakeFds())
+            fds.push_back({fd, 0, 0});
+        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+               fds.empty() ? 5 : busyMs);
+        pool.poll(0);
+        for (auto &d : pool.takeCompleted())
+            done.push_back(std::move(d));
+    }
+    return done;
+}
+
+} // namespace
+
+TEST(ProcPool, ResultArrivesByteExactThroughRunAndEventLoop)
+{
+    const std::string payload = bulkyPayload();
+    Metrics &metrics = Metrics::global();
+    ProcPoolOptions opts = fastPool(1);
+    opts.heartbeatTimeoutSeconds = 30.0;
+    std::string received;
+    ProcJob job;
+    job.name = "bulky";
+    job.run = [&payload] {
+        ProcPool::sendResult(payload);
+        return 0;
+    };
+    job.onSuccess = [&received](const std::string &got) {
+        received = got;
+        return true;
+    };
+
+    const uint64_t merged0 = metrics.counter("pool.rollups_merged").get();
+    const auto outcomes = ProcPool(opts).run({job});
+    EXPECT_EQ(outcomes[0].status, ProcJobOutcome::Status::Done)
+        << outcomes[0].lastError;
+    EXPECT_TRUE(received == payload) << received.size() << " bytes";
+
+    received.clear();
+    ProcPool pool(opts);
+    pool.submit(job);
+    const auto done = loopUntilDone(pool, 20);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].second.status, ProcJobOutcome::Status::Done)
+        << done[0].second.lastError;
+    EXPECT_TRUE(received == payload) << received.size() << " bytes";
+    // Each worker's rollup was found behind its result frame.
+    EXPECT_EQ(metrics.counter("pool.rollups_merged").get() - merged0, 2u);
+}
+
+// A worker that exits 0 halfway through its frame delivered nothing:
+// the attempt is rejected like a crash, retried, then quarantined.
+TEST(ProcPool, CutResultFrameIsRejectedRetriedThenQuarantined)
+{
+    ProcPoolOptions opts = fastPool(1);
+    opts.heartbeatTimeoutSeconds = 30.0;
+    ProcPool pool(opts);
+    int merges = 0;
+    ProcJob job;
+    job.name = "cut-frame";
+    job.run = [] {
+        // The loop below drains the pipe only once it hangs up, so the
+        // send stalls at the pipe buffer until this alarm's exit cuts
+        // it.
+        ::signal(SIGALRM, [](int) { ::_exit(0); });
+        const itimerval after = {{0, 0}, {0, 200000}};
+        ::setitimer(ITIMER_REAL, &after, nullptr);
+        ProcPool::sendResult(bulkyPayload());
+        return 0;
+    };
+    job.onSuccess = [&merges](const std::string &) {
+        ++merges;
+        return true;
+    };
+    pool.submit(job);
+    const auto done = loopUntilDone(pool, 10000);
+    ASSERT_EQ(done.size(), 1u);
+    const ProcJobOutcome &o = done[0].second;
+    EXPECT_EQ(o.status, ProcJobOutcome::Status::Quarantined);
+    EXPECT_EQ(o.attempts, opts.maxAttempts);
+    EXPECT_EQ(o.crashes, opts.maxAttempts);
+    EXPECT_EQ(o.lastError, "result frame cut short");
+    for (const ProcAttempt &a : o.attemptLog) {
+        EXPECT_EQ(a.outcome, "result torn");
+        EXPECT_EQ(a.exitCode, 0);
+    }
+    EXPECT_EQ(merges, 0);
+}
+
+// Only a job that merges a result needs to send one; a merge step
+// whose worker sent nothing sees the empty string.
+TEST(ProcPool, JobWithoutResultNeedsNoFrame)
+{
+    std::vector<ProcJob> jobs(2);
+    jobs[0].name = "silent";
+    jobs[0].run = [] { return 0; };
+    jobs[1].name = "silent-merged";
+    jobs[1].run = [] { return 0; };
+    std::string seen = "unset";
+    jobs[1].onSuccess = [&seen](const std::string &got) {
+        seen = got;
+        return true;
+    };
+    const auto outcomes = ProcPool(fastPool(2)).run(jobs);
+    for (const auto &o : outcomes) {
+        EXPECT_EQ(o.status, ProcJobOutcome::Status::Done) << o.lastError;
+        EXPECT_EQ(o.attempts, 1);
+    }
+    EXPECT_EQ(seen, "");
+}
+
 // --- Supervisor façade -----------------------------------------------------
 
 TEST(Supervisor, ReportAccumulatesAndSerializes)
 {
     const std::string dir = freshDir("report");
-    Supervisor sup(fastSupervisor(dir + "/staging"));
+    Supervisor sup(fastSupervisor());
     std::vector<SupervisedTask> tasks(2);
     tasks[0].name = "ok";
     tasks[0].run = [] { return std::string(); };
@@ -537,7 +677,7 @@ TEST_P(Executor, MergesEachPayloadOnceInTaskOrderAndQuarantinesRejects)
             return true;
         };
     }
-    SupervisorOptions opts = fastSupervisor(dir);
+    SupervisorOptions opts = fastSupervisor();
     opts.backend = GetParam().backend;
     opts.workers = GetParam().workers;
     Supervisor sup(opts);
@@ -575,8 +715,7 @@ TEST_P(Executor, MergesEachPayloadOnceInTaskOrderAndQuarantinesRejects)
         EXPECT_EQ(report.jobs[i].attempts.back().outcome,
                   i == kDoomed ? "merge rejected" : "ok");
     }
-    // No staging file outlives its merge (the thread backend writes
-    // none at all).
+    // Neither backend carries a payload through a file.
     EXPECT_TRUE(std::filesystem::is_empty(dir));
     std::filesystem::remove_all(dir);
 }
@@ -598,10 +737,9 @@ TEST(SupervisedExplorer, MatchesThreadedRunBitIdentical)
 {
     const auto golden = Explorer(miniSuite(), miniOpts(5)).exploreAll();
 
-    const std::string dir = freshDir("explore_eq");
     ExplorerOptions opts = miniOpts(5);
     opts.supervised = true;
-    opts.supervisorOpts = fastSupervisor(dir);
+    opts.supervisorOpts = fastSupervisor();
     Explorer explorer(miniSuite(), opts);
     const auto supervised = explorer.exploreAll();
 
@@ -610,25 +748,22 @@ TEST(SupervisedExplorer, MatchesThreadedRunBitIdentical)
     EXPECT_EQ(report.crashes, 0u);
     EXPECT_EQ(report.hangs, 0u);
     EXPECT_TRUE(report.quarantined.empty());
-    std::filesystem::remove_all(dir);
 }
 
 TEST(SupervisedExplorer, MatchesCheckpointedThreadedRunBitIdentical)
 {
     const auto golden = Explorer(miniSuite(), miniOpts(9)).exploreAll();
 
-    const std::string work = freshDir("explore_ckpt_w");
     const std::string ckpt = freshDir("explore_ckpt_c");
     ExplorerOptions opts = miniOpts(9);
     opts.supervised = true;
-    opts.supervisorOpts = fastSupervisor(work);
+    opts.supervisorOpts = fastSupervisor();
     opts.checkpointEvery = 4;
     opts.checkpointDir = ckpt;
     const auto supervised = Explorer(miniSuite(), opts).exploreAll();
 
     expectResultsIdentical(supervised, golden);
     EXPECT_TRUE(std::filesystem::is_empty(ckpt));
-    std::filesystem::remove_all(work);
     std::filesystem::remove_all(ckpt);
 }
 
@@ -640,12 +775,11 @@ namespace
  *  process mid-run (workers have already been joined at the barrier;
  *  any orphans would die via PR_SET_PDEATHSIG). */
 [[noreturn]] void
-superviseAndKill(const std::string &work, const std::string &ckpt,
-                 uint64_t seed)
+superviseAndKill(const std::string &ckpt, uint64_t seed)
 {
     ExplorerOptions opts = miniOpts(seed);
     opts.supervised = true;
-    opts.supervisorOpts = fastSupervisor(work);
+    opts.supervisorOpts = fastSupervisor();
     opts.checkpointEvery = 4;
     opts.checkpointDir = ckpt;
     opts.checkpointWrittenHook = [](const std::string &path) {
@@ -663,21 +797,19 @@ TEST(SupervisedExplorer, SupervisorKilledMidRunResumesBitIdentical)
 {
     const auto golden = Explorer(miniSuite(), miniOpts(9)).exploreAll();
 
-    const std::string work = freshDir("kill_w");
     const std::string ckpt = freshDir("kill_c");
-    EXPECT_EXIT(superviseAndKill(work, ckpt, 9),
+    EXPECT_EXIT(superviseAndKill(ckpt, 9),
                 testing::ExitedWithCode(42), "");
 
     ExplorerOptions opts = miniOpts(9);
     opts.supervised = true;
-    opts.supervisorOpts = fastSupervisor(work);
+    opts.supervisorOpts = fastSupervisor();
     opts.checkpointEvery = 4;
     opts.checkpointDir = ckpt;
     const auto resumed = Explorer(miniSuite(), opts).exploreAll();
 
     expectResultsIdentical(resumed, golden);
     EXPECT_TRUE(std::filesystem::is_empty(ckpt));
-    std::filesystem::remove_all(work);
     std::filesystem::remove_all(ckpt);
 }
 
@@ -712,8 +844,7 @@ TEST(SupervisedMatrix, MatchesPlainBuildBitIdentical)
     const PerfMatrix golden =
         PerfMatrix::build(suite, configs, instrs, 1);
 
-    const std::string dir = freshDir("matrix_eq");
-    Supervisor sup(fastSupervisor(dir));
+    Supervisor sup(fastSupervisor());
     std::vector<std::string> missing;
     const PerfMatrix supervised = PerfMatrix::build(
         suite, configs, instrs, sup, "", &missing);
@@ -725,7 +856,6 @@ TEST(SupervisedMatrix, MatchesPlainBuildBitIdentical)
             EXPECT_EQ(supervised.ipt(w, c), golden.ipt(w, c))
                 << "cell (" << w << ", " << c << ")";
     }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(SupervisedMatrix, QuarantinedRowDegradesToMissingCells)
@@ -735,8 +865,7 @@ TEST(SupervisedMatrix, QuarantinedRowDegradesToMissingCells)
     // cells NaN rather than aborting the suite.
     const auto suite = miniSuite();
     const auto configs = miniConfigs(suite);
-    const std::string dir = freshDir("matrix_missing");
-    SupervisorOptions opts = fastSupervisor(dir);
+    SupervisorOptions opts = fastSupervisor();
     opts.jobDeadlineSeconds = 0.01; // each cell needs far longer
     opts.maxAttempts = 2;
     Supervisor sup(opts);
@@ -753,5 +882,4 @@ TEST(SupervisedMatrix, QuarantinedRowDegradesToMissingCells)
     const SupervisorReport &report = sup.report();
     EXPECT_EQ(report.quarantined.size(), suite.size());
     EXPECT_GE(report.hangs, 2u);
-    std::filesystem::remove_all(dir);
 }
