@@ -114,9 +114,9 @@ loadTable4Cache(const std::vector<WorkloadProfile> &suite,
     std::vector<CoreConfig> loaded;
     loaded.reserve(suite.size());
     for (size_t w = 0; w < suite.size(); ++w) {
-        const CoreConfig cfg =
-            CoreConfig::fromCsvRow(doc.header, doc.rows[w]);
-        if (cfg.name != suite[w].name)
+        CoreConfig cfg;
+        if (!CoreConfig::fromCsvRow(doc.header, doc.rows[w], cfg) ||
+            cfg.name != suite[w].name)
             return false;
         loaded.push_back(cfg);
     }
@@ -144,9 +144,15 @@ loadTable5Cache(const std::vector<WorkloadProfile> &suite,
     if (!readCsvValidated(table5CachePath(), doc,
                           table5Manifest(suite, configs)))
         return false;
-    if (doc.rows.size() != suite.size())
+    PerfMatrix loaded;
+    if (doc.rows.size() != suite.size() ||
+        !PerfMatrix::fromCsv(doc.header, doc.rows, loaded))
         return false;
-    matrix = PerfMatrix::fromCsv(doc.header, doc.rows);
+    for (size_t w = 0; w < suite.size(); ++w) {
+        if (loaded.names()[w] != suite[w].name)
+            return false;
+    }
+    matrix = std::move(loaded);
     return true;
 }
 
@@ -173,6 +179,9 @@ computeContext()
     ExperimentContext ctx;
     ctx.suite = spec2000int();
 
+    // On a Table 4 miss the exploration's final phase is Table 5; the
+    // separate build below runs only for a Table 4 hit without one.
+    std::vector<std::string> missing;
     if (!loadTable4Cache(ctx.suite, ctx.configs)) {
         Metrics::global().counter("cache.table4_misses").add();
         inform("exploring customized configurations "
@@ -193,6 +202,8 @@ computeContext()
         const auto results = explorer.exploreAll();
         for (const auto &r : results)
             ctx.configs.push_back(r.best);
+        ctx.matrix = explorer.crossMatrix();
+        missing = explorer.crossMissingRows();
         if (budget.supervise)
             atomicWriteFile(budget.resultsDir +
                                 "/supervisor_report.json",
@@ -203,9 +214,10 @@ computeContext()
                table4CachePath().c_str());
     } else {
         Metrics::global().counter("cache.table4_hits").add();
-    }
-
-    if (!loadTable5Cache(ctx.suite, ctx.configs, ctx.matrix)) {
+        if (loadTable5Cache(ctx.suite, ctx.configs, ctx.matrix)) {
+            Metrics::global().counter("cache.table5_hits").add();
+            return ctx;
+        }
         Metrics::global().counter("cache.table5_misses").add();
         inform("building cross-configuration matrix "
                "(%zu x %zu, %llu instrs/eval)...",
@@ -220,27 +232,25 @@ computeContext()
             budget.checkpointEvery > 0
                 ? budget.resultsDir + "/checkpoints/table5_matrix.partial"
                 : std::string();
-        std::vector<std::string> missing;
         ctx.matrix = PerfMatrix::build(ctx.suite, ctx.configs,
                                        budget.finalInstrs, supervisor,
                                        partial, &missing);
         if (budget.supervise)
             supervisor.writeReport(budget.resultsDir +
                                    "/matrix_supervisor_report.json");
-        if (!missing.empty()) {
-            // A degraded matrix (NaN rows) must not poison the result
-            // cache; a rerun resumes from the partial file and fills
-            // the missing rows.
-            warn("matrix degraded (%zu quarantined rows); not caching",
-                 missing.size());
-            return ctx;
-        }
-        storeTable5Cache(ctx.suite, ctx.configs, ctx.matrix);
-        inform("cached cross-configuration matrix at %s",
-               table5CachePath().c_str());
-    } else {
-        Metrics::global().counter("cache.table5_hits").add();
     }
+
+    if (!missing.empty()) {
+        // A degraded matrix (NaN rows) must not poison the result
+        // cache; a rerun builds Table 5 again (resuming a separate
+        // build from its partial file) and fills the missing rows.
+        warn("matrix degraded (%zu quarantined rows); not caching",
+             missing.size());
+        return ctx;
+    }
+    storeTable5Cache(ctx.suite, ctx.configs, ctx.matrix);
+    inform("cached cross-configuration matrix at %s",
+           table5CachePath().c_str());
     return ctx;
 }
 

@@ -2,17 +2,18 @@
  * @file
  * Shared experiment context for the bench harnesses: the customized
  * configurations of the SPEC2000int suite (Table 4) and the
- * cross-configuration IPT matrix (Table 5) are computed once and
- * cached as CSV under $XPS_RESULTS_DIR (default ./results), so that
- * every bench binary can be run independently, in any order, and the
- * whole suite costs one exploration (DESIGN.md §5.5).
+ * cross-configuration IPT matrix (Table 5, the exploration's final
+ * phase) are computed once and cached as CSV under $XPS_RESULTS_DIR
+ * (default ./results), so that every bench binary can be run
+ * independently, in any order, and the whole suite costs one
+ * exploration (DESIGN.md §5.5).
  *
  * The cache files carry identity manifests (DESIGN.md §7): a cache
  * written under different budget knobs or different workload
  * profiles, or torn by a crash, is rejected and recomputed — never
  * silently reused. Long recomputations are themselves crash-safe:
  * the exploration checkpoints per workload (XPS_CHECKPOINT_EVERY)
- * and the matrix build resumes per cell.
+ * and its final matrix resumes per cell.
  */
 
 #ifndef XPS_COMM_EXPERIMENTS_HH
@@ -41,8 +42,9 @@ struct ExperimentContext
 };
 
 /**
- * Load the cached context, or compute it (exploration + matrix) under
- * the Budget env knobs and cache it.
+ * Load the cached context, or compute it under the Budget env knobs
+ * and cache it: an exploration yields Table 4 and Table 5 together; a
+ * cached Table 4 without its Table 5 builds the matrix alone.
  */
 const ExperimentContext &experimentContext();
 

@@ -1,7 +1,6 @@
 #include "comm/perf_matrix.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <sstream>
@@ -112,14 +111,16 @@ parseCells(const std::string &content, const std::vector<Cell> &cells,
 }
 
 /**
- * Load the finished cells of a partial matrix file. Returns the
- * number of cells recovered; 0 (with `fresh` = true) when the file is
- * absent, carries a foreign manifest, or is corrupted beyond its
- * header — the caller then rewrites it from scratch. A torn tail line
- * (the crash interrupted an append) only drops that line.
+ * Load the finished cells of a partial matrix file into the columns
+ * `arch` maps them to. Returns the number of cells recovered; 0 (with
+ * `fresh` = true) when the file is absent, carries a foreign manifest,
+ * or is corrupted beyond its header — the caller then rewrites it from
+ * scratch. A torn tail line (the crash interrupted an append) only
+ * drops that line.
  */
 size_t
 loadPartialMatrix(const std::string &path, const CsvManifest &identity,
+                  const std::vector<size_t> &arch,
                   std::vector<std::vector<double>> &ipt,
                   std::vector<std::vector<bool>> &have, bool &fresh)
 {
@@ -138,10 +139,10 @@ loadPartialMatrix(const std::string &path, const CsvManifest &identity,
         double v = 0.0;
         if (!parseCellLine(line, ipt.size(), cell, v))
             break; // torn tail: ignore this line and everything after
-        const auto [w, c] = cell;
-        if (!have[w][c]) {
-            ipt[w][c] = v;
-            have[w][c] = true;
+        const size_t w = cell.first, a = arch[cell.second];
+        if (!have[w][a]) {
+            ipt[w][a] = v;
+            have[w][a] = true;
             ++cells;
         }
     }
@@ -214,6 +215,18 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
         names.push_back(p.name);
 
     const CsvManifest identity = partialIdentity(suite, configs, instrs);
+    // Columns of one architecture share their cells: simulate() reads
+    // no CoreConfig field outside sameArch(), so each row simulates
+    // every distinct architecture once, in the column arch[c] of its
+    // first occurrence, and copies it into the duplicate columns.
+    std::vector<size_t> arch(n, 0);
+    size_t distinct = 0;
+    for (size_t c = 0; c < n; ++c) {
+        while (arch[c] < c && !configs[arch[c]].sameArch(configs[c]))
+            ++arch[c];
+        if (arch[c] == c)
+            ++distinct;
+    }
     // Cells of a quarantined task stay NaN: the completed matrix
     // records them as missing instead of aborting.
     std::vector<std::vector<double>> ipt(
@@ -229,11 +242,11 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
     FILE *partial = nullptr;
     if (!partialPath.empty()) {
         bool fresh = true;
-        const size_t recovered =
-            loadPartialMatrix(partialPath, identity, ipt, have, fresh);
+        const size_t recovered = loadPartialMatrix(
+            partialPath, identity, arch, ipt, have, fresh);
         if (recovered > 0) {
             inform("resuming matrix build from %s (%zu/%zu cells)",
-                   partialPath.c_str(), recovered, n * n);
+                   partialPath.c_str(), recovered, n * distinct);
             metrics.counter("perf_matrix.cells_resumed")
                 .add(recovered);
         }
@@ -272,7 +285,7 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
     std::vector<SupervisedTask> tasks;
     for (size_t w = 0; w < n; ++w) {
         for (size_t c = 0; c < n; ++c) {
-            if (have[w][c])
+            if (arch[c] != c || have[w][c])
                 continue;
             std::string name = "matrix." + suite[w].name;
             if (per_row && !tasks.empty() && tasks.back().name == name) {
@@ -332,6 +345,11 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
         if (missingRows &&
             (missingRows->empty() || missingRows->back() != row))
             missingRows->push_back(row);
+    }
+
+    for (size_t w = 0; w < n; ++w) {
+        for (size_t c = 0; c < n; ++c)
+            ipt[w][c] = ipt[w][arch[c]];
     }
 
     if (partial) {
@@ -402,29 +420,26 @@ PerfMatrix::toCsvRows() const
     return rows;
 }
 
-PerfMatrix
+bool
 PerfMatrix::fromCsv(const std::vector<std::string> &header,
-                    const std::vector<std::vector<std::string>> &rows)
+                    const std::vector<std::vector<std::string>> &rows,
+                    PerfMatrix &out)
 {
     if (header.size() != rows.size() + 1)
-        fatal("PerfMatrix::fromCsv: %zu header cols for %zu rows",
-              header.size(), rows.size());
+        return false;
     std::vector<std::string> names(header.begin() + 1, header.end());
-    std::vector<std::vector<double>> ipt;
-    ipt.reserve(rows.size());
+    std::vector<std::vector<double>> ipt(
+        rows.size(), std::vector<double>(names.size()));
     for (size_t w = 0; w < rows.size(); ++w) {
-        if (rows[w].size() != header.size())
-            fatal("PerfMatrix::fromCsv: ragged row");
-        if (rows[w][0] != names[w])
-            fatal("PerfMatrix::fromCsv: row order mismatch (%s vs %s)",
-                  rows[w][0].c_str(), names[w].c_str());
-        std::vector<double> vals;
-        vals.reserve(names.size());
-        for (size_t c = 1; c < rows[w].size(); ++c)
-            vals.push_back(std::atof(rows[w][c].c_str()));
-        ipt.push_back(std::move(vals));
+        if (rows[w].size() != header.size() || rows[w][0] != names[w])
+            return false;
+        for (size_t c = 0; c < names.size(); ++c) {
+            if (!parseCsvNumber(rows[w][c + 1], ipt[w][c]))
+                return false;
+        }
     }
-    return PerfMatrix(std::move(names), std::move(ipt));
+    out = PerfMatrix(std::move(names), std::move(ipt));
+    return true;
 }
 
 } // namespace xps

@@ -49,7 +49,10 @@ class PerfMatrix
      * on threads, one per row on forked workers. Each task publishes
      * its cells as one identity-validated payload, so a crashed or
      * hung worker is retried without ever surfacing a torn cell, and
-     * the values are bit-identical on either backend.
+     * the values are bit-identical on either backend. A row simulates
+     * each distinct architecture (CoreConfig::sameArch) once and
+     * copies the value into its duplicate columns. The explorer's
+     * final phase is one such build (explore/explorer.hh).
      * @param suite the workloads (rows)
      * @param configs one customized configuration per workload, in
      *        suite order (columns)
@@ -106,11 +109,13 @@ class PerfMatrix
         const std::vector<WorkloadProfile> &suite,
         const std::vector<CoreConfig> &configs, uint64_t instrs);
 
-    /** Serialize / deserialize for result caching. */
+    /** Serialize / deserialize for result caching. fromCsv() is
+     *  false, with `out` untouched, on a shape or row-name mismatch
+     *  or a cell that is not one finite number. */
     std::vector<std::vector<std::string>> toCsvRows() const;
-    static PerfMatrix fromCsv(
-        const std::vector<std::string> &header,
-        const std::vector<std::vector<std::string>> &rows);
+    static bool fromCsv(const std::vector<std::string> &header,
+                        const std::vector<std::vector<std::string>> &rows,
+                        PerfMatrix &out);
 
   private:
     std::vector<std::string> names_;

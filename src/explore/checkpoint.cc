@@ -383,31 +383,6 @@ parseAnnealerState(LineReader &reader, AnnealerState &out)
     return true;
 }
 
-const char *
-phaseName(SuiteCheckpoint::Phase phase)
-{
-    switch (phase) {
-      case SuiteCheckpoint::Phase::Anneal: return "anneal";
-      case SuiteCheckpoint::Phase::FinalScored: return "final-scored";
-      case SuiteCheckpoint::Phase::FinalAdopt: return "final-adopt";
-    }
-    panic("checkpoint: bad phase");
-}
-
-bool
-parsePhase(const std::string &token, SuiteCheckpoint::Phase &out)
-{
-    for (auto phase : {SuiteCheckpoint::Phase::Anneal,
-                       SuiteCheckpoint::Phase::FinalScored,
-                       SuiteCheckpoint::Phase::FinalAdopt}) {
-        if (token == phaseName(phase)) {
-            out = phase;
-            return true;
-        }
-    }
-    return false;
-}
-
 } // namespace
 
 std::string
@@ -460,12 +435,6 @@ serializeSuiteCheckpoint(const SuiteCheckpoint &ckpt,
     std::ostringstream out;
     emitManifest(out, identity);
     out << "round " << ckpt.round << '\n';
-    out << "phase " << phaseName(ckpt.phase) << '\n';
-    out << "adopt.index " << ckpt.adoptIndex << '\n';
-    out << "final.ipt " << ckpt.finalIpt.size();
-    for (double ipt : ckpt.finalIpt)
-        out << ' ' << formatHexDouble(ipt);
-    out << '\n';
     out << "workloads " << ckpt.workloads.size() << '\n';
     for (const auto &w : ckpt.workloads) {
         emitConfig(out, "current", w.current);
@@ -490,27 +459,6 @@ parseSuiteCheckpoint(const std::string &content,
     const auto *line = reader.expect("round", 1);
     if (!line || !parseInt((*line)[1], ckpt.round))
         return false;
-    line = reader.expect("phase", 1);
-    if (!line || !parsePhase((*line)[1], ckpt.phase))
-        return false;
-    line = reader.expect("adopt.index", 1);
-    if (!line || !parseU64((*line)[1], ckpt.adoptIndex))
-        return false;
-    line = reader.expectVariadic("final.ipt");
-    if (!line || line->size() < 2)
-        return false;
-    uint64_t final_count;
-    if (!parseU64((*line)[1], final_count) ||
-        line->size() != 2 + final_count) {
-        return false;
-    }
-    ckpt.finalIpt.reserve(final_count);
-    for (uint64_t i = 0; i < final_count; ++i) {
-        double ipt;
-        if (!parseHexDouble((*line)[2 + i], ipt))
-            return false;
-        ckpt.finalIpt.push_back(ipt);
-    }
     line = reader.expect("workloads", 1);
     uint64_t workloads;
     if (!line || !parseU64((*line)[1], workloads) ||

@@ -10,8 +10,9 @@
  *    XPS_CHECKPOINT_EVERY iterations.
  *  - one suite file (suite.ckpt): the round-barrier state — every
  *    workload's post-adoption configuration, score, memo and
- *    counters, plus final-phase progress. Written atomically at each
- *    barrier, so a crash never mixes pre- and post-adoption state.
+ *    counters. Written atomically at each barrier, so a crash never
+ *    mixes pre- and post-adoption state. The final phase's checkpoint
+ *    is its matrix's partial file (final.partial, comm/perf_matrix.hh).
  *
  * All floating-point values are serialized as C99 hex-floats, so a
  * resumed run continues bit-identically to an uninterrupted one. An
@@ -71,17 +72,7 @@ struct SuiteWorkloadState
 /** The round-barrier state of the whole suite. */
 struct SuiteCheckpoint
 {
-    enum class Phase
-    {
-        Anneal,      ///< annealing round `round` (workload files refine)
-        FinalScored, ///< all rounds done; finalIpt computed
-        FinalAdopt,  ///< gross adoption: workloads [0, adoptIndex) done
-    };
-
     int round = 0;
-    Phase phase = Phase::Anneal;
-    uint64_t adoptIndex = 0;
-    std::vector<double> finalIpt; ///< valid in FinalScored/FinalAdopt
     std::vector<SuiteWorkloadState> workloads;
 };
 

@@ -1,6 +1,5 @@
 #include "explore/explorer.hh"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -9,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "comm/perf_matrix.hh"
 #include "explore/predictor.hh"
 #include "obs/log.hh"
 #include "obs/tracer.hh"
@@ -107,7 +107,7 @@ CsvManifest
 Explorer::checkpointIdentity() const
 {
     CsvManifest m;
-    m.set("schema", std::string("1"));
+    m.set("schema", std::string("2"));
     m.set("eval_instrs", opts_.evalInstrs);
     m.set("sa_iters", opts_.saIters);
     m.set("rounds", static_cast<uint64_t>(opts_.rounds));
@@ -438,9 +438,7 @@ Explorer::exploreAll()
     // Per-workload evaluation memo (each is touched by one worker at
     // a time; adoption reads and writes it only on this thread).
     std::vector<std::unordered_map<std::string, double>> memo(n);
-    std::vector<std::atomic<uint64_t>> evals(n);
-    for (auto &e : evals)
-        e.store(0);
+    std::vector<uint64_t> evals(n, 0);
     std::vector<uint64_t> adoptions(n, 0);
     // Per-workload serialized surrogate model (empty when
     // XPS_SURROGATE is off); carried across rounds and through the
@@ -481,10 +479,6 @@ Explorer::exploreAll()
 
     // --- resume the round-barrier state ------------------------------------
     int start_round = 0;
-    SuiteCheckpoint::Phase phase = SuiteCheckpoint::Phase::Anneal;
-    uint64_t adopt_index = 0;
-    std::vector<double> final_ipt(n, 0.0);
-    bool have_final_ipt = false;
     if (ckpt) {
         std::string content;
         SuiteCheckpoint sc;
@@ -494,19 +488,13 @@ Explorer::exploreAll()
                 for (size_t w = 0; w < n; ++w) {
                     current[w] = sc.workloads[w].current;
                     current_ipt[w] = sc.workloads[w].currentIpt;
-                    evals[w].store(sc.workloads[w].evals);
+                    evals[w] = sc.workloads[w].evals;
                     adoptions[w] = sc.workloads[w].adoptions;
                     memo[w].insert(sc.workloads[w].memo.begin(),
                                    sc.workloads[w].memo.end());
                     surrogate[w] = sc.workloads[w].surrogate;
                 }
                 start_round = sc.round;
-                phase = sc.phase;
-                adopt_index = sc.adoptIndex;
-                if (phase != SuiteCheckpoint::Phase::Anneal) {
-                    final_ipt = sc.finalIpt;
-                    have_final_ipt = final_ipt.size() == n;
-                }
                 metrics.counter("checkpoint.suite_resumes").add();
                 inform("resuming exploration from %s (round %d/%d)",
                        suiteCheckpointPath().c_str(), start_round,
@@ -519,21 +507,16 @@ Explorer::exploreAll()
         }
     }
 
-    auto write_suite_ckpt = [&](int round, SuiteCheckpoint::Phase ph,
-                                uint64_t adopt_idx) {
+    auto write_suite_ckpt = [&](int round) {
         if (!ckpt)
             return;
         SuiteCheckpoint sc;
         sc.round = round;
-        sc.phase = ph;
-        sc.adoptIndex = adopt_idx;
-        if (ph != SuiteCheckpoint::Phase::Anneal)
-            sc.finalIpt = final_ipt;
         sc.workloads.resize(n);
         for (size_t w = 0; w < n; ++w) {
             sc.workloads[w].current = current[w];
             sc.workloads[w].currentIpt = current_ipt[w];
-            sc.workloads[w].evals = evals[w].load();
+            sc.workloads[w].evals = evals[w];
             sc.workloads[w].adoptions = adoptions[w];
             sc.workloads[w].memo = memoToVector(memo[w]);
             sc.workloads[w].surrogate = surrogate[w];
@@ -544,8 +527,7 @@ Explorer::exploreAll()
         obs::instant("checkpoint.write", "io", [&] {
             return obs::Args()
                 .add("workload", "suite")
-                .add("round", round)
-                .add("phase", static_cast<int>(ph));
+                .add("round", round);
         });
         if (opts_.checkpointWrittenHook)
             opts_.checkpointWrittenHook(suiteCheckpointPath());
@@ -568,25 +550,25 @@ Explorer::exploreAll()
     // exactly as a serial loop. One thread skips the wave, which could
     // only add simulations that an adoption makes moot.
     using Wave = std::unordered_map<std::string, double>;
-    auto adoption_wave = [&](size_t w, bool final_pass, uint64_t instrs) {
+    auto adoption_wave = [&](size_t w) {
         Wave wave;
         if (opts_.threads <= 1)
             return wave;
         std::vector<std::pair<const CoreConfig *, double *>> todo;
         for (size_t other = 0; other < n; ++other) {
-            if (other == w || (!final_pass && rep[other] != other) ||
+            if (other == w || rep[other] != other ||
                 current[other].sameArch(current[w]))
                 continue;
             std::string key = archKey(current[other]);
-            if (!final_pass && memo[w].contains(key))
+            if (memo[w].contains(key))
                 continue;
             const auto [it, fresh] = wave.emplace(std::move(key), 0.0);
             if (fresh)
                 todo.emplace_back(&current[other], &it->second);
         }
         parallelFor(todo.size(), opts_.threads, [&](size_t i) {
-            *todo[i].second =
-                evaluate(suite_[w], *todo[i].first, instrs, traces[w]);
+            *todo[i].second = evaluate(suite_[w], *todo[i].first,
+                                       opts_.evalInstrs, traces[w]);
         });
         return wave;
     };
@@ -603,28 +585,24 @@ Explorer::exploreAll()
             pre != wave.end()
                 ? pre->second
                 : evaluate(suite_[w], cfg, opts_.evalInstrs, traces[w]);
-        evals[w].fetch_add(1, std::memory_order_relaxed);
+        ++evals[w];
         m.emplace(key, ipt);
         return ipt;
     };
 
-    const bool anneal_rounds_remain =
-        phase == SuiteCheckpoint::Phase::Anneal &&
-        start_round < opts_.rounds;
-    if (anneal_rounds_remain) {
+    // `supervised` picks the backend of the rounds and of the final
+    // matrix; the code that runs on it is the same.
+    Supervisor sup(opts_.supervised
+                       ? opts_.supervisorOpts
+                       : SupervisorOptions::onThreads(opts_.threads));
+
+    if (start_round < opts_.rounds) {
         for (size_t w = 0; w < n; ++w) {
             if (rep[w] == w)
                 traces[w] =
                     sharedTrace(suite_[w], 0, 2 * opts_.evalInstrs);
         }
-    }
-
-    if (anneal_rounds_remain) {
         ScopedTimer timer("explore.anneal_seconds");
-        // `supervised` picks the backend; the round loop is the same.
-        Supervisor sup(opts_.supervised
-                           ? opts_.supervisorOpts
-                           : SupervisorOptions::onThreads(opts_.threads));
         // Workloads whose annealing task was quarantined: their
         // configuration is frozen at the last completed round and the
         // suite degrades gracefully instead of aborting.
@@ -634,7 +612,7 @@ Explorer::exploreAll()
             SuiteWorkloadState in;
             in.current = current[w];
             in.currentIpt = current_ipt[w];
-            in.evals = evals[w].load();
+            in.evals = evals[w];
             in.adoptions = adoptions[w];
             in.memo = memoToVector(memo[w]);
             in.surrogate = surrogate[w];
@@ -643,7 +621,7 @@ Explorer::exploreAll()
         auto installState = [&](size_t w, const SuiteWorkloadState &out) {
             current[w] = out.current;
             current_ipt[w] = out.currentIpt;
-            evals[w].store(out.evals);
+            evals[w] = out.evals;
             adoptions[w] = out.adoptions;
             memo[w] = std::unordered_map<std::string, double>(
                 out.memo.begin(), out.memo.end());
@@ -720,8 +698,7 @@ Explorer::exploreAll()
                 for (size_t w = 0; w < n; ++w) {
                     if (rep[w] != w)
                         continue; // non-reps inherit after the rounds
-                    const Wave wave =
-                        adoption_wave(w, false, opts_.evalInstrs);
+                    const Wave wave = adoption_wave(w);
                     for (size_t other = 0; other < n; ++other) {
                         if (other == w || rep[other] != other)
                             continue;
@@ -766,8 +743,7 @@ Explorer::exploreAll()
             // Round barrier: commit the post-adoption suite state in
             // one atomic file, so a crash never mixes pre- and
             // post-adoption state across workloads.
-            write_suite_ckpt(round + 1, SuiteCheckpoint::Phase::Anneal,
-                             0);
+            write_suite_ckpt(round + 1);
             inform("exploration round %d/%d done", round + 1,
                    opts_.rounds);
             // The supervised parent never enters the annealer itself,
@@ -781,66 +757,60 @@ Explorer::exploreAll()
                 std::exit(kGracefulExitCode);
             }
         }
-        supervisorReport_ = sup.report();
     }
 
-    // Final pass at the (longer) final evaluation length: score every
-    // configuration, and apply the paper's adoption rule one last time
-    // for gross violations only — a workload whose own annealing ended
-    // in a clearly inferior local optimum takes the better foreign
-    // configuration, while small noise-level differences keep the
-    // customized configurations distinct.
+    // Final phase (DESIGN.md §6): one matrix of every workload on
+    // every pre-final incumbent at the (longer) final length, on the
+    // rounds' executor; its partial file is the phase's checkpoint.
+    // The paper's adoption rule applies one last time, to gross
+    // violations only, as arithmetic on the matrix: adoption only
+    // copies an incumbent, and col[w] indexes the one workload w holds.
+    // A quarantined row stays NaN, so its workload keeps its incumbent.
     ScopedTimer final_timer("explore.final_seconds");
     obs::ScopedSpan final_span("explore.final", "explore");
     const uint64_t score_instrs = opts_.finalEvalInstrs > 0
                                       ? opts_.finalEvalInstrs
                                       : opts_.evalInstrs;
-    // The registry grows each trace in place of regenerating it; the
-    // annealing-length buffers above remain valid for their holders.
+    const std::string final_partial = opts_.checkpointDir + "/final.partial";
+    traces.clear(); // the matrix replays final-length traces of its own
+    crossMissingRows_.clear();
+    const PerfMatrix pre = PerfMatrix::build(
+        suite_, current, score_instrs, sup,
+        ckpt ? final_partial : std::string(), &crossMissingRows_);
+    supervisorReport_ = sup.report();
+    std::vector<size_t> col(n);
     for (size_t w = 0; w < n; ++w)
-        traces[w] = sharedTrace(suite_[w], 0, 2 * score_instrs);
-    if (!have_final_ipt) {
-        parallelFor(n, opts_.threads, [&](size_t w) {
-            final_ipt[w] = evaluate(suite_[w], current[w],
-                                    score_instrs, traces[w]);
-            evals[w].fetch_add(1, std::memory_order_relaxed);
-        });
-        write_suite_ckpt(opts_.rounds,
-                         SuiteCheckpoint::Phase::FinalScored, 0);
-        adopt_index = 0;
-    }
-    for (size_t w = adopt_index; w < n; ++w) {
-        const Wave wave = adoption_wave(w, true, score_instrs);
+        col[w] = w;
+    for (size_t w = 0; w < n; ++w) {
+        ++evals[w]; // its own score
         for (size_t other = 0; other < n; ++other) {
-            if (other == w || current[other].sameArch(current[w]))
+            if (other == w ||
+                current[col[other]].sameArch(current[col[w]]))
                 continue;
-            const auto pre = wave.find(archKey(current[other]));
-            const double ipt =
-                pre != wave.end()
-                    ? pre->second
-                    : evaluate(suite_[w], current[other], score_instrs,
-                               traces[w]);
-            evals[w].fetch_add(1, std::memory_order_relaxed);
-            if (ipt > final_ipt[w] *
-                          (1.0 + opts_.grossAdoptionMargin)) {
-                current[w] = current[other];
-                final_ipt[w] = ipt;
+            ++evals[w];
+            if (pre.ipt(w, col[other]) >
+                pre.ipt(w, col[w]) * (1.0 + opts_.grossAdoptionMargin)) {
+                col[w] = col[other];
                 ++adoptions[w];
                 metrics.counter("explore.adoptions").add();
             }
         }
-        write_suite_ckpt(opts_.rounds,
-                         SuiteCheckpoint::Phase::FinalAdopt, w + 1);
     }
 
+    // Table 5 is the same matrix with its columns remapped to the
+    // final configurations.
+    std::vector<std::vector<double>> table5(n, std::vector<double>(n));
     for (size_t w = 0; w < n; ++w) {
+        for (size_t c = 0; c < n; ++c)
+            table5[w][c] = pre.ipt(w, col[c]);
         results[w].workload = suite_[w].name;
-        results[w].best = current[w];
+        results[w].best = current[col[w]];
         results[w].best.name = suite_[w].name;
-        results[w].bestIpt = final_ipt[w];
-        results[w].evaluations = evals[w].load();
+        results[w].bestIpt = pre.ipt(w, col[w]);
+        results[w].evaluations = evals[w];
         results[w].adoptions = adoptions[w];
     }
+    crossMatrix_ = PerfMatrix(pre.names(), std::move(table5));
 
     // Exploration complete: the checkpoints have served their purpose
     // and must not shadow a future (possibly different) run.
@@ -849,6 +819,7 @@ Explorer::exploreAll()
         for (size_t w = 0; w < n; ++w)
             std::filesystem::remove(workloadCheckpointPath(w), ec);
         std::filesystem::remove(suiteCheckpointPath(), ec);
+        std::filesystem::remove(final_partial, ec);
         metrics.counter("checkpoint.completed_runs").add();
     }
     return results;

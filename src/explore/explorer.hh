@@ -4,28 +4,30 @@
  * search for every workload of a suite, with the paper's
  * cross-adoption acceleration (§4.1): after each round, every workload
  * is evaluated on every other workload's incumbent configuration and
- * adopts it when it performs better there than on its own. A final
- * pass scores every configuration at the longer final length and
- * applies the adoption rule once more, to gross violations only.
+ * adopts it when it performs better there than on its own. The final
+ * phase is one cross matrix at the longer final length, on which the
+ * adoption rule applies once more, to gross violations only; remapped
+ * to the final configurations, it is the paper's Table 5.
  *
  * A round runs one task per workload on a Supervisor
  * (explore/supervisor.hh): on threads, or on forked workers when
  * `supervised`; either way the post-round state crosses back as a
- * serialized, identity-validated payload. The final scores run one
- * workload per thread (util/parallel.hh), and each workload's
- * adoption candidates are simulated as one parallel wave before its
- * adoption decisions are taken, in suite order, on the calling
- * thread. Results therefore do not depend on the thread count or the
- * backend (DESIGN.md §6).
+ * serialized, identity-validated payload. The final matrix runs on the
+ * same Supervisor. Between rounds, each workload's adoption candidates
+ * are simulated as one parallel wave (util/parallel.hh) before its
+ * adoption decisions are taken, in suite order, on the calling thread.
+ * Results therefore do not depend on the thread count or the backend
+ * (DESIGN.md §6).
  *
  * The output — one customized configuration per workload — is the
  * paper's *configurational characterization* of the suite.
  *
  * Long explorations are crash-safe (DESIGN.md §7): with
  * `checkpointEvery` > 0, per-workload checkpoint files and a suite
- * barrier file are written atomically under `checkpointDir`, and a
- * restarted Explorer resumes from them transparently, producing
- * results bit-identical to an uninterrupted run. Checkpoints carry an
+ * barrier file are written atomically under `checkpointDir`, the
+ * final matrix appends to a partial file there, and a restarted
+ * Explorer resumes from them transparently, producing results
+ * bit-identical to an uninterrupted run. Checkpoints carry an
  * identity manifest (budget, seeds, profile fingerprints, bounds);
  * stale or corrupted checkpoint files are ignored, never half-used.
  */
@@ -38,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "comm/perf_matrix.hh"
 #include "explore/annealer.hh"
 #include "explore/checkpoint.hh"
 #include "explore/search_space.hh"
@@ -84,13 +87,13 @@ struct ExplorerOptions
      *  its path. */
     std::function<void(const std::string &)> checkpointWrittenHook;
 
-    /** Run the annealing round tasks on forked, supervised worker
-     *  processes (DESIGN.md §9) instead of threads: crashes and hangs
-     *  are retried from the last checkpoint. On either backend a
-     *  repeatedly failing workload-round is quarantined (its
-     *  configuration frozen) rather than aborting the suite, and
-     *  results are bit-identical. Enabled by XPS_SUPERVISE in the
-     *  cached experiment pipeline. */
+    /** Run the annealing round tasks and the final matrix's rows on
+     *  forked, supervised worker processes (DESIGN.md §9) instead of
+     *  threads: crashes and hangs are retried from the last
+     *  checkpoint. On either backend a repeatedly failing task is
+     *  quarantined (its workload keeps its last incumbent) rather than
+     *  aborting the suite, and results are bit-identical. Enabled by
+     *  XPS_SUPERVISE in the cached experiment pipeline. */
     bool supervised = false;
     /** Process-backend policy when `supervised` (workers defaults to
      *  `threads` when <= 0). */
@@ -146,13 +149,23 @@ class Explorer
      *  checkpoints (budget, seeds, profile fingerprints, bounds). */
     CsvManifest checkpointIdentity() const;
 
-    /** Supervision outcome of the last exploreAll()'s annealing
-     *  rounds, on either backend: one record per workload-round task,
-     *  plus crashes, hangs, retries and quarantined workload-rounds.
-     *  Empty when no round ran (a resume past the last round). */
+    /** Supervision outcome of the last exploreAll(), on either
+     *  backend: one record per round and final-matrix task, plus
+     *  crashes, hangs, retries and quarantined tasks. */
     const SupervisorReport &supervisorReport() const
     {
         return supervisorReport_;
+    }
+
+    /** Table 5 of the last exploreAll(): every workload (row) on
+     *  every final configuration (column) at the final length; its
+     *  diagonal is each bestIpt. */
+    const PerfMatrix &crossMatrix() const { return crossMatrix_; }
+
+    /** Workloads whose crossMatrix() row was quarantined (NaN). */
+    const std::vector<std::string> &crossMissingRows() const
+    {
+        return crossMissingRows_;
     }
 
   private:
@@ -173,6 +186,8 @@ class Explorer
     UnitTiming timing_;
     SearchSpace space_;
     SupervisorReport supervisorReport_;
+    PerfMatrix crossMatrix_;
+    std::vector<std::string> crossMissingRows_;
 };
 
 } // namespace xps

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -142,37 +143,50 @@ CoreConfig::toCsvRow() const
             std::to_string(l2Cycles)};
 }
 
-CoreConfig
+bool
 CoreConfig::fromCsvRow(const std::vector<std::string> &header,
-                       const std::vector<std::string> &row)
+                       const std::vector<std::string> &row,
+                       CoreConfig &out)
 {
     if (header.size() != row.size())
-        fatal("CoreConfig::fromCsvRow: width mismatch");
-    auto get = [&](const char *key) -> const std::string & {
+        return false;
+    auto get = [&](const char *key) -> const std::string * {
         for (size_t i = 0; i < header.size(); ++i) {
             if (header[i] == key)
-                return row[i];
+                return &row[i];
         }
-        fatal("CoreConfig::fromCsvRow: missing column '%s'", key);
+        return nullptr;
     };
+    const std::string *name = get("name");
+    if (!name)
+        return false;
     CoreConfig cfg;
-    cfg.name = get("name");
-    cfg.clockNs = std::atof(get("clock_ns").c_str());
-    cfg.width = std::atoi(get("width").c_str());
-    cfg.robSize = std::atoi(get("rob").c_str());
-    cfg.iqSize = std::atoi(get("iq").c_str());
-    cfg.lsqSize = std::atoi(get("lsq").c_str());
-    cfg.schedDepth = std::atoi(get("sched_depth").c_str());
-    cfg.lsqDepth = std::atoi(get("lsq_depth").c_str());
-    cfg.l1Sets = std::atoll(get("l1_sets").c_str());
-    cfg.l1Assoc = std::atoi(get("l1_assoc").c_str());
-    cfg.l1LineBytes = std::atoi(get("l1_line").c_str());
-    cfg.l1Cycles = std::atoi(get("l1_cycles").c_str());
-    cfg.l2Sets = std::atoll(get("l2_sets").c_str());
-    cfg.l2Assoc = std::atoi(get("l2_assoc").c_str());
-    cfg.l2LineBytes = std::atoi(get("l2_line").c_str());
-    cfg.l2Cycles = std::atoi(get("l2_cycles").c_str());
-    return cfg;
+    cfg.name = *name;
+    bool ok = true;
+    auto field = [&](const char *key, auto &member) {
+        const std::string *cell = get(key);
+        ok = ok && cell && parseCsvNumber(*cell, member);
+    };
+    field("clock_ns", cfg.clockNs);
+    field("width", cfg.width);
+    field("rob", cfg.robSize);
+    field("iq", cfg.iqSize);
+    field("lsq", cfg.lsqSize);
+    field("sched_depth", cfg.schedDepth);
+    field("lsq_depth", cfg.lsqDepth);
+    field("l1_sets", cfg.l1Sets);
+    field("l1_assoc", cfg.l1Assoc);
+    field("l1_line", cfg.l1LineBytes);
+    field("l1_cycles", cfg.l1Cycles);
+    field("l2_sets", cfg.l2Sets);
+    field("l2_assoc", cfg.l2Assoc);
+    field("l2_line", cfg.l2LineBytes);
+    field("l2_cycles", cfg.l2Cycles);
+    static const UnitTiming timing;
+    if (!ok || !cfg.checkFits(timing).empty())
+        return false;
+    out = std::move(cfg);
+    return true;
 }
 
 std::string

@@ -91,8 +91,12 @@ struct CoreConfig
     /** Stable serialization for result caching (CSV cells). */
     static std::vector<std::string> csvHeader();
     std::vector<std::string> toCsvRow() const;
-    static CoreConfig fromCsvRow(const std::vector<std::string> &header,
-                                 const std::vector<std::string> &row);
+    /** Decode a toCsvRow() row under `header`. False, with `out`
+     *  untouched, on a missing column, a cell that is not one whole
+     *  number in its field's range, or a config failing checkFits. */
+    static bool fromCsvRow(const std::vector<std::string> &header,
+                           const std::vector<std::string> &row,
+                           CoreConfig &out);
 
     /** Human-readable one-line summary. */
     std::string summary() const;

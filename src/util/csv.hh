@@ -19,8 +19,12 @@
 #ifndef XPS_UTIL_CSV_HH
 #define XPS_UTIL_CSV_HH
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace xps
@@ -58,6 +62,22 @@ struct CsvManifest
         return entries == other.entries;
     }
 };
+
+/** Parse a cell that holds exactly one number that fits T: no blanks,
+ *  no trailing text, no sign on an unsigned T, and a finite value for
+ *  a floating T. */
+template <typename T>
+bool
+parseCsvNumber(const std::string &cell, T &out)
+{
+    const char *end = cell.data() + cell.size();
+    const auto [ptr, ec] = std::from_chars(cell.data(), end, out);
+    const bool whole = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        return whole && std::isfinite(out);
+    else
+        return whole;
+}
 
 /** Atomically write a document (no manifest: ad-hoc outputs). */
 void writeCsv(const std::string &path, const CsvDoc &doc);

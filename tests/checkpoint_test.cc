@@ -25,6 +25,7 @@
 #include "explore/explorer.hh"
 #include "explore/search_space.hh"
 #include "util/atomic_file.hh"
+#include "util/fault.hh"
 #include "util/shutdown.hh"
 
 using namespace xps;
@@ -142,9 +143,6 @@ sampleSuiteCheckpoint()
 {
     SuiteCheckpoint ckpt;
     ckpt.round = 1;
-    ckpt.phase = SuiteCheckpoint::Phase::FinalAdopt;
-    ckpt.adoptIndex = 2;
-    ckpt.finalIpt = {1.5, 2.5, 0.125};
     for (int i = 0; i < 3; ++i) {
         SuiteWorkloadState ws;
         ws.current = space().initialConfig();
@@ -208,9 +206,6 @@ TEST(CheckpointFormat, SuiteRoundTrip)
     SuiteCheckpoint back;
     ASSERT_TRUE(parseSuiteCheckpoint(text, testIdentity(), back));
     EXPECT_EQ(back.round, ckpt.round);
-    EXPECT_EQ(back.phase, ckpt.phase);
-    EXPECT_EQ(back.adoptIndex, ckpt.adoptIndex);
-    EXPECT_EQ(back.finalIpt, ckpt.finalIpt);
     ASSERT_EQ(back.workloads.size(), 3u);
     for (size_t i = 0; i < 3; ++i) {
         EXPECT_TRUE(back.workloads[i].current.sameArch(
@@ -433,7 +428,7 @@ namespace
  *  these bytes, so the names stay the same from build to build. */
 struct KillParam
 {
-    int killAfterWrites; ///< _exit(42) at the Nth checkpoint write
+    int killAfterWrites; ///< die at the Nth durable write (see below)
     uint16_t threads;    ///< explorer worker threads
     uint16_t workloads;  ///< suite size: a prefix of killSuite()
     uint64_t seed;
@@ -460,9 +455,30 @@ killOpts(const KillParam &p)
     return opts;
 }
 
-/** Death-test body: explore with checkpointing and _exit(42) at the
- *  Nth checkpoint write — no cleanup, no flush, exactly like a
- *  SIGKILL at that instant. */
+/** The checkpoint write that is the last round's barrier: 24 iters /
+ *  2 rounds at cadence 4 => 3 anneal writes per workload per round,
+ *  then one suite barrier per round. */
+int
+lastBarrierWrite(const KillParam &p)
+{
+    return 2 * (3 * p.workloads + 1);
+}
+
+/** True when the kill lands inside the final matrix, whose partial
+ *  file is the final phase's only checkpoint. */
+bool
+killsInFinalMatrix(const KillParam &p)
+{
+    return p.killAfterWrites > lastBarrierWrite(p);
+}
+
+/** Death-test body: explore with checkpointing and die at the Nth
+ *  durable write, with no cleanup and no flush, exactly like a SIGKILL
+ *  at that instant. Up to the last round's barrier, write N is the Nth
+ *  checkpoint file and the death is _exit(42). Past it, the final
+ *  matrix appends one cell per simulation, so the barrier arms an
+ *  injected crash (fault::kCrashExitCode) at the final phase's
+ *  (N - barrier)th simulation. */
 [[noreturn]] void
 exploreAndKill(const std::string &dir, const KillParam &p)
 {
@@ -470,11 +486,16 @@ exploreAndKill(const std::string &dir, const KillParam &p)
     opts.checkpointEvery = 4;
     opts.checkpointDir = dir;
     auto writes = std::make_shared<std::atomic<int>>(0);
-    opts.checkpointWrittenHook =
-        [writes, kill_after = p.killAfterWrites](const std::string &) {
-            if (writes->fetch_add(1) + 1 >= kill_after)
-                ::_exit(42);
-        };
+    opts.checkpointWrittenHook = [writes, kill_after = p.killAfterWrites,
+                                  barrier = lastBarrierWrite(p)](
+                                     const std::string &) {
+        const int n = writes->fetch_add(1) + 1;
+        if (n >= kill_after)
+            ::_exit(42);
+        if (n == barrier) // every round task has joined: safe to arm
+            fault::armSchedule("sim.run:crash:" +
+                               std::to_string(kill_after - barrier));
+    };
     Explorer(killSuite(p.workloads), opts).exploreAll();
     ::_exit(0); // unreachable for the kill points we sweep
 }
@@ -497,7 +518,14 @@ TEST_P(ExplorerKillResume, ResumeAfterKillIsBitIdentical)
     // style is required: the child must inherit this process's `dir`
     // and run from the fork point (no worker threads are live here —
     // every exploreAll joins its pool).
-    EXPECT_EXIT(exploreAndKill(dir, p), testing::ExitedWithCode(42), "");
+    EXPECT_EXIT(exploreAndKill(dir, p),
+                testing::ExitedWithCode(killsInFinalMatrix(p)
+                                            ? fault::kCrashExitCode
+                                            : 42),
+                "");
+    if (killsInFinalMatrix(p)) {
+        EXPECT_TRUE(std::filesystem::exists(dir + "/final.partial"));
+    }
 
     // Phase 2: resume from whatever files the kill left behind.
     ExplorerOptions opts = killOpts(p);
@@ -512,13 +540,13 @@ TEST_P(ExplorerKillResume, ResumeAfterKillIsBitIdentical)
 }
 
 // 24 iters / 2 rounds at cadence 4 => 3 anneal writes per workload per
-// round, then a suite barrier per round (round 0's after adoption),
-// one final-scored write and one final-adopt write per workload. Two
-// workloads at one thread: writes 1-6 are round 0, 7 its barrier,
-// 8-13 round 1, 14 its barrier, 15-17 the final phase. Three
+// round, then a suite barrier per round (round 0's after adoption).
+// Two workloads at one thread: writes 1-6 are round 0, 7 its barrier,
+// 8-13 round 1 and 14 its barrier; 17 is the final matrix's third
+// simulation, after two cells are in its partial file. Three
 // workloads at three threads: writes 1-9 are round 0 (interleaved
-// across threads, but always nine), 10 its barrier, 20 round 1's, 21
-// the final scores and 22-24 the final adoption.
+// across threads, but always nine), 10 its barrier and 20 round 1's;
+// 21 and 23 are the final matrix's first and third simulations.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ExplorerKillResume,
     // {killAfterWrites, threads, workloads, seed}
@@ -541,12 +569,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ExplorerThreads, ResultsAndCheckpointsIdenticalAtAnyThreadCount)
 {
-    // Four workloads over three rounds, so between-round and final
-    // adoption both run their parallel waves; seed 10 adopts in both
-    // (three round adoptions, one gross adoption at one thread). Every
-    // run must match the one-thread run field for field, and so must
-    // the bytes of every suite checkpoint it writes, the final-phase
-    // ones included.
+    // Four workloads over three rounds, so between-round adoption runs
+    // its parallel waves and the final matrix its parallel cells; seed
+    // 10 adopts in both phases (three round adoptions, one gross
+    // adoption). Every run must match the one-thread run field for
+    // field, and so must the bytes of every suite checkpoint it
+    // writes.
     const std::vector<WorkloadProfile> suite = {
         profileByName("gzip"), profileByName("mcf"),
         profileByName("twolf"), profileByName("crafty")};
@@ -554,6 +582,7 @@ TEST(ExplorerThreads, ResultsAndCheckpointsIdenticalAtAnyThreadCount)
     {
         std::vector<WorkloadResult> results;
         std::vector<std::string> suiteCheckpoints;
+        CsvManifest identity;
     };
     auto run = [&](int threads) {
         const std::string dir =
@@ -573,7 +602,9 @@ TEST(ExplorerThreads, ResultsAndCheckpointsIdenticalAtAnyThreadCount)
             if (path == suite_path && readFile(path, bytes))
                 r.suiteCheckpoints.push_back(std::move(bytes));
         };
-        r.results = Explorer(suite, opts).exploreAll();
+        Explorer explorer(suite, opts);
+        r.identity = explorer.checkpointIdentity();
+        r.results = explorer.exploreAll();
         std::filesystem::remove_all(dir);
         return r;
     };
@@ -583,12 +614,16 @@ TEST(ExplorerThreads, ResultsAndCheckpointsIdenticalAtAnyThreadCount)
     for (const WorkloadResult &res : serial.results)
         adoptions += res.adoptions;
     ASSERT_GT(adoptions, 0u) << "seed exercises no adoption";
-    size_t final_phase = 0;
-    for (const std::string &bytes : serial.suiteCheckpoints) {
-        if (bytes.find("\nphase final-") != std::string::npos)
-            ++final_phase;
-    }
-    EXPECT_EQ(final_phase, 1 + suite.size()); // scored + one per adopt
+    // The last suite checkpoint is the last round's barrier: every
+    // adoption the results add to it is a gross adoption.
+    ASSERT_FALSE(serial.suiteCheckpoints.empty());
+    SuiteCheckpoint barrier;
+    ASSERT_TRUE(parseSuiteCheckpoint(serial.suiteCheckpoints.back(),
+                                     serial.identity, barrier));
+    uint64_t barrier_adoptions = 0;
+    for (const SuiteWorkloadState &ws : barrier.workloads)
+        barrier_adoptions += ws.adoptions;
+    EXPECT_GT(adoptions, barrier_adoptions) << "seed makes no gross adoption";
 
     for (int threads : {2, 4}) {
         SCOPED_TRACE("threads " + std::to_string(threads));

@@ -80,7 +80,8 @@ TEST(PerfMatrix, CsvRoundTrip)
     std::vector<std::string> header{"workload"};
     for (const auto &n : m.names())
         header.push_back(n);
-    const PerfMatrix back = PerfMatrix::fromCsv(header, m.toCsvRows());
+    PerfMatrix back;
+    ASSERT_TRUE(PerfMatrix::fromCsv(header, m.toCsvRows(), back));
     EXPECT_EQ(back.size(), m.size());
     for (size_t w = 0; w < m.size(); ++w) {
         for (size_t c = 0; c < m.size(); ++c)

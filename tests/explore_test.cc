@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdlib>
 
+#include "comm/perf_matrix.hh"
 #include "explore/annealer.hh"
 #include "explore/explorer.hh"
 #include "explore/search_space.hh"
+#include "util/metrics.hh"
 
 using namespace xps;
 
@@ -281,6 +285,74 @@ TEST(Explorer, DeterministicForSeed)
     const auto b = Explorer(suite, opts).exploreAll();
     EXPECT_TRUE(a[0].best.sameArch(b[0].best));
     EXPECT_EQ(a[0].bestIpt, b[0].bestIpt);
+}
+
+namespace
+{
+
+/** The explorer's final phase is Table 5: crossMatrix() must equal a
+ *  separate build over the final configurations bit for bit, and its
+ *  diagonal must be each workload's bestIpt. `simulated` receives the
+ *  cells the final phase simulated. */
+void
+expectCrossMatrixIsTable5(int threads, uint64_t &simulated)
+{
+    const std::vector<WorkloadProfile> suite = {
+        profileByName("gzip"), profileByName("mcf"),
+        profileByName("twolf"), profileByName("crafty")};
+    ExplorerOptions opts;
+    opts.evalInstrs = 4000;
+    opts.saIters = 24;
+    opts.rounds = 2;
+    opts.threads = threads;
+    opts.seed = 10;
+    opts.finalEvalInstrs = 8000;
+    Explorer explorer(suite, opts);
+    Counter &cells = Metrics::global().counter("perf_matrix.cells_computed");
+    const uint64_t before = cells.get();
+    const auto results = explorer.exploreAll();
+    simulated = cells.get() - before;
+    std::vector<CoreConfig> configs;
+    for (const auto &r : results)
+        configs.push_back(r.best);
+    const PerfMatrix separate =
+        PerfMatrix::build(suite, configs, opts.finalEvalInstrs, threads);
+
+    const PerfMatrix &cross = explorer.crossMatrix();
+    EXPECT_TRUE(explorer.crossMissingRows().empty());
+    ASSERT_EQ(cross.names(), separate.names());
+    for (size_t w = 0; w < suite.size(); ++w) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(cross.ipt(w, w)),
+                  std::bit_cast<uint64_t>(results[w].bestIpt))
+            << suite[w].name;
+        for (size_t c = 0; c < suite.size(); ++c)
+            EXPECT_EQ(std::bit_cast<uint64_t>(cross.ipt(w, c)),
+                      std::bit_cast<uint64_t>(separate.ipt(w, c)))
+                << "cell (" << w << ", " << c << ")";
+    }
+}
+
+} // namespace
+
+TEST(ExplorerCrossMatrix, EqualsSeparateBuildOverFinalConfigs)
+{
+    for (int threads : {1, 2}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        uint64_t simulated = 0;
+        expectCrossMatrixIsTable5(threads, simulated);
+    }
+}
+
+TEST(ExplorerCrossMatrix, EqualsSeparateBuildWhenColumnsRepeat)
+{
+    // Two clusters over four workloads: the reduced-away workloads
+    // enter the final phase on their representative's incumbent, so
+    // pre-final columns repeat.
+    ::setenv("XPS_REDUCE_WORKLOADS", "2", 1);
+    uint64_t simulated = 0;
+    expectCrossMatrixIsTable5(2, simulated);
+    ::unsetenv("XPS_REDUCE_WORKLOADS");
+    EXPECT_LT(simulated, 4u * 4u); // one simulation per distinct column
 }
 
 TEST(ExplorerDeathTest, RejectsEmptySuite)

@@ -43,7 +43,7 @@ struct MiniPipeline
         Explorer explorer(suite, opts);
         for (const auto &r : explorer.exploreAll())
             configs.push_back(r.best);
-        matrix = PerfMatrix::build(suite, configs, 20000, 2);
+        matrix = explorer.crossMatrix(); // Table 5 at the final length
     }
 };
 
@@ -151,8 +151,8 @@ TEST(Integration, ConfigPersistenceThroughCsvFile)
     ASSERT_TRUE(readCsv(path, in));
     ASSERT_EQ(in.rows.size(), p.configs.size());
     for (size_t i = 0; i < in.rows.size(); ++i) {
-        const CoreConfig cfg =
-            CoreConfig::fromCsvRow(in.header, in.rows[i]);
+        CoreConfig cfg;
+        ASSERT_TRUE(CoreConfig::fromCsvRow(in.header, in.rows[i], cfg));
         EXPECT_TRUE(cfg.sameArch(p.configs[i]));
     }
     std::filesystem::remove(path);
@@ -172,7 +172,8 @@ TEST(Integration, MatrixPersistenceThroughCsvFile)
 
     CsvDoc in;
     ASSERT_TRUE(readCsv(path, in));
-    const PerfMatrix back = PerfMatrix::fromCsv(in.header, in.rows);
+    PerfMatrix back;
+    ASSERT_TRUE(PerfMatrix::fromCsv(in.header, in.rows, back));
     for (size_t w = 0; w < p.matrix.size(); ++w) {
         for (size_t c = 0; c < p.matrix.size(); ++c)
             EXPECT_NEAR(back.ipt(w, c), p.matrix.ipt(w, c), 1e-5);

@@ -20,6 +20,7 @@
 #include "comm/experiments.hh"
 #include "comm/perf_matrix.hh"
 #include "explore/checkpoint.hh"
+#include "explore/explorer.hh"
 #include "explore/supervisor.hh"
 #include "sim/simulator.hh"
 #include "util/atomic_file.hh"
@@ -51,6 +52,21 @@ resultsDir()
 
 const bool kEnvReady = !resultsDir().empty();
 
+/** Removes resultsDir() when the test process exits. Forked children
+ *  (death tests, pool workers) inherit this object, so only the
+ *  process that created the directory removes it. Defined after
+ *  kEnvReady, it is destroyed before the directory's name. */
+struct ResultsDirCleanup
+{
+    const pid_t owner = ::getpid();
+    ~ResultsDirCleanup()
+    {
+        std::error_code ec;
+        if (::getpid() == owner)
+            std::filesystem::remove_all(resultsDir(), ec);
+    }
+} kResultsDirCleanup;
+
 std::string
 slurp(const std::string &path)
 {
@@ -81,6 +97,17 @@ std::string
 tmpFile(const std::string &name)
 {
     return resultsDir() + "/" + name;
+}
+
+/** `text` with its first occurrence of `from` replaced by `to`. */
+std::string
+mutate(std::string text, const std::string &from, const std::string &to)
+{
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << "no '" << from << "'";
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
 }
 
 } // namespace
@@ -313,6 +340,20 @@ TEST(ExperimentCache, Table4RoundTripsAndInvalidates)
     // Garbage must invalidate, not crash.
     atomicWriteFile(table4CachePath(), "\x7f garbage");
     EXPECT_FALSE(loadTable4Cache(suite, loaded));
+
+    // So must a body that does not decode under an intact manifest
+    // and row count: a cell that is not one whole number, a renamed
+    // column, a configuration that does not fit its clock.
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"gzip,0.33,3,128,", "gzip,0.33,3,5x2,"},
+             {",rob,", ",rab,"},
+             {"gzip,0.33,3,", "gzip,0.33,9,"}}) {
+        atomicWriteFile(table4CachePath(), mutate(full, from, to));
+        EXPECT_FALSE(loadTable4Cache(suite, loaded)) << from << " -> " << to;
+    }
+    atomicWriteFile(table4CachePath(), full);
+    EXPECT_TRUE(loadTable4Cache(suite, loaded));
 }
 
 TEST(ExperimentCache, Table5InvalidatesWhenConfigsChange)
@@ -338,6 +379,17 @@ TEST(ExperimentCache, Table5InvalidatesWhenConfigsChange)
     auto other_suite = suite;
     other_suite[1].fracLoad += 0.01;
     EXPECT_FALSE(loadTable5Cache(other_suite, configs, loaded));
+
+    // So must a body that does not decode under an intact manifest
+    // and row count: a renamed row, a cell that is not one number.
+    const std::string full = slurp(table5CachePath());
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\ntwolf,", "\ntwalf,"}, {",0.500000", ",0.5x"}}) {
+        atomicWriteFile(table5CachePath(), mutate(full, from, to));
+        EXPECT_FALSE(loadTable5Cache(suite, configs, loaded))
+            << from << " -> " << to;
+    }
 }
 
 // --- PerfMatrix partial-file resume ----------------------------------------
@@ -362,10 +414,11 @@ goldenMatrix()
 }
 
 std::string
-partialHeader()
+partialHeader(const std::vector<WorkloadProfile> &suite,
+              const std::vector<CoreConfig> &configs)
 {
-    const CsvManifest identity = PerfMatrix::partialIdentity(
-        matrixSuite(), cacheConfigs(matrixSuite()), kMatrixInstrs);
+    const CsvManifest identity =
+        PerfMatrix::partialIdentity(suite, configs, kMatrixInstrs);
     std::ostringstream out;
     out << "xps-matrix-partial v1\n";
     for (const auto &[key, value] : identity.entries)
@@ -374,21 +427,35 @@ partialHeader()
     return out.str();
 }
 
+std::string
+partialHeader()
+{
+    return partialHeader(matrixSuite(), cacheConfigs(matrixSuite()));
+}
+
 /** The partial-file cases run on both executor backends: threads
  *  (one task per cell) and forked workers (one task per row). */
 class PerfMatrixPartial : public testing::TestWithParam<bool>
 {
   protected:
     static PerfMatrix
-    buildWith(int threads, const std::string &partialPath)
+    buildWith(const std::vector<WorkloadProfile> &suite,
+              const std::vector<CoreConfig> &configs, int threads,
+              const std::string &partialPath)
     {
         SupervisorOptions opts = SupervisorOptions::onThreads(threads);
         if (GetParam())
             opts.backend = SupervisorOptions::Backend::Processes;
         Supervisor supervisor(opts);
-        return PerfMatrix::build(matrixSuite(),
-                                 cacheConfigs(matrixSuite()),
-                                 kMatrixInstrs, supervisor, partialPath);
+        return PerfMatrix::build(suite, configs, kMatrixInstrs,
+                                 supervisor, partialPath);
+    }
+
+    static PerfMatrix
+    buildWith(int threads, const std::string &partialPath)
+    {
+        return buildWith(matrixSuite(), cacheConfigs(matrixSuite()),
+                         threads, partialPath);
     }
 };
 
@@ -461,6 +528,45 @@ TEST_P(PerfMatrixPartial, GarbagePartialIsDiscarded)
     const PerfMatrix built = buildWith(1, path);
     const PerfMatrix golden = goldenMatrix();
     EXPECT_EQ(built.ipt(0, 0), golden.ipt(0, 0));
+    EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST_P(PerfMatrixPartial, RepeatedArchitecturesSimulateOncePerRow)
+{
+    // Columns 0 and 2 share an architecture: each row simulates it
+    // once and copies the value, and every cell still equals its own
+    // evaluation.
+    const std::vector<WorkloadProfile> suite = {
+        profileByName("gzip"), profileByName("mcf"),
+        profileByName("twolf")};
+    const std::vector<CoreConfig> configs = cacheConfigs(suite);
+    ASSERT_TRUE(configs[2].sameArch(configs[0]));
+    ASSERT_FALSE(configs[1].sameArch(configs[0]));
+    Counter &computed =
+        Metrics::global().counter("perf_matrix.cells_computed");
+    const uint64_t before = computed.get();
+    const PerfMatrix built = buildWith(suite, configs, 2, "");
+    EXPECT_EQ(computed.get() - before, 3u * 2u); // rows x distinct
+    for (size_t w = 0; w < suite.size(); ++w) {
+        for (size_t c = 0; c < suite.size(); ++c)
+            EXPECT_EQ(built.ipt(w, c),
+                      Explorer::evaluate(suite[w], configs[c],
+                                         kMatrixInstrs))
+                << "cell (" << w << ", " << c << ")";
+    }
+
+    // A partial file that holds only a duplicate column's cell fills
+    // that row's whole group: one cell fewer to simulate, same matrix.
+    const std::string path = tmpFile("matrix5.partial");
+    atomicWriteFile(path, partialHeader(suite, configs) + "cell 1 2 " +
+                              formatHexDouble(built.ipt(1, 2)) + "\n");
+    const uint64_t mid = computed.get();
+    const PerfMatrix resumed = buildWith(suite, configs, 1, path);
+    EXPECT_EQ(computed.get() - mid, 3u * 2u - 1u);
+    for (size_t w = 0; w < suite.size(); ++w) {
+        for (size_t c = 0; c < suite.size(); ++c)
+            EXPECT_EQ(resumed.ipt(w, c), built.ipt(w, c));
+    }
     EXPECT_FALSE(std::filesystem::exists(path));
 }
 

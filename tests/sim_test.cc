@@ -143,8 +143,8 @@ TEST(CoreConfig, CsvRoundTrip)
 {
     const CoreConfig cfg = referenceConfig();
     const auto row = cfg.toCsvRow();
-    const CoreConfig back =
-        CoreConfig::fromCsvRow(CoreConfig::csvHeader(), row);
+    CoreConfig back;
+    ASSERT_TRUE(CoreConfig::fromCsvRow(CoreConfig::csvHeader(), row, back));
     EXPECT_TRUE(back.sameArch(cfg));
     EXPECT_EQ(back.name, cfg.name);
 }

@@ -30,6 +30,7 @@
 #include "explore/explorer.hh"
 #include "explore/supervisor.hh"
 #include "util/atomic_file.hh"
+#include "util/fault.hh"
 #include "util/metrics.hh"
 #include "util/procpool.hh"
 #include "util/rng.hh"
@@ -809,6 +810,49 @@ TEST(SupervisedExplorer, SupervisorKilledMidRunResumesBitIdentical)
     const auto resumed = Explorer(miniSuite(), opts).exploreAll();
 
     expectResultsIdentical(resumed, golden);
+    EXPECT_TRUE(std::filesystem::is_empty(ckpt));
+    std::filesystem::remove_all(ckpt);
+}
+
+TEST(SupervisedExplorer, QuarantinedFinalRowKeepsItsIncumbent)
+{
+    // The final phase's matrix rows run as forked jobs. One row fails
+    // its only attempt: the exploration still completes, the row is
+    // reported missing and stays NaN, its workload keeps the incumbent
+    // of the last round's barrier, and the checkpoints still go.
+    const std::string ckpt = freshDir("final_quarantine");
+    ExplorerOptions opts = miniOpts(5);
+    opts.supervised = true;
+    opts.supervisorOpts = fastSupervisor();
+    opts.supervisorOpts.maxAttempts = 1;
+    opts.checkpointEvery = 4;
+    opts.checkpointDir = ckpt;
+    std::string barrier; // runs in this process: the barrier's writer
+    opts.checkpointWrittenHook = [&](const std::string &path) {
+        if (path == ckpt + "/suite.ckpt")
+            readFile(path, barrier);
+    };
+    fault::armSchedule("cell.publish:crash:1"); // one row's result frame
+    Explorer explorer(miniSuite(), opts);
+    const auto results = explorer.exploreAll();
+    fault::armSchedule("");
+
+    ASSERT_EQ(explorer.crossMissingRows().size(), 1u);
+    const PerfMatrix &table5 = explorer.crossMatrix();
+    const size_t bad = table5.index(explorer.crossMissingRows()[0]);
+    const size_t good = 1 - bad;
+    SuiteCheckpoint last;
+    ASSERT_TRUE(
+        parseSuiteCheckpoint(barrier, explorer.checkpointIdentity(), last));
+    EXPECT_TRUE(results[bad].best.sameArch(last.workloads[bad].current));
+    EXPECT_EQ(results[bad].adoptions, last.workloads[bad].adoptions);
+    EXPECT_TRUE(std::isnan(results[bad].bestIpt));
+    for (size_t c = 0; c < table5.size(); ++c) {
+        EXPECT_TRUE(std::isnan(table5.ipt(bad, c)));
+        EXPECT_FALSE(std::isnan(table5.ipt(good, c)));
+    }
+    EXPECT_EQ(results[good].bestIpt, table5.ipt(good, good));
+    EXPECT_EQ(explorer.supervisorReport().quarantined.size(), 1u);
     EXPECT_TRUE(std::filesystem::is_empty(ckpt));
     std::filesystem::remove_all(ckpt);
 }

@@ -480,7 +480,6 @@ TEST(SurrogateCheckpoint, EmptyModelLineStaysAbsent)
 TEST(SurrogateCheckpoint, SuiteRoundTripCarriesPerWorkloadModels)
 {
     SuiteCheckpoint ckpt;
-    ckpt.finalIpt = {};
     for (int i = 0; i < 2; ++i) {
         SuiteWorkloadState ws;
         ws.current = space().initialConfig();
