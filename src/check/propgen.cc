@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -23,91 +22,95 @@ constexpr const char *kHeader = "xps-prop-case v1";
 /**
  * One serializable/shrinkable numeric field of a PropCase. Integral
  * fields round-trip through double, which is exact for every value in
- * range here (all well below 2^53).
+ * range here (all well below 2^53). A configuration field goes
+ * through its CoreConfig field table entry, which gates its values.
  */
 struct NumField
 {
-    const char *key;
+    std::string key;
     bool isFloat;
-    bool isConfig; ///< legality gate: checkFits vs. profileValid
-    double (*get)(const PropCase &);
-    void (*set)(PropCase &, double);
+    /** The table entry of a configuration field; null otherwise. */
+    const ConfigField *config;
+    double (*getRun)(const PropCase &);
+    bool (*setRun)(PropCase &, double);
+
+    double get(const PropCase &c) const
+    {
+        return config ? config->get(c.config) : getRun(c);
+    }
+    /** False, `c` untouched, if the table rejects `v`. */
+    bool set(PropCase &c, double v) const
+    {
+        return config ? config->set(v, c.config) : setRun(c, v);
+    }
 };
 
-#define XPS_FIELD(key, isFloat, isConfig, expr)                       \
+#define XPS_FIELD(key, isFloat, expr)                                 \
     NumField                                                          \
     {                                                                 \
-        key, isFloat, isConfig,                                       \
+        key, isFloat, nullptr,                                        \
             [](const PropCase &c) {                                   \
                 return static_cast<double>(c.expr);                   \
             },                                                        \
             [](PropCase &c, double v) {                               \
                 c.expr = static_cast<decltype(c.expr)>(v);            \
+                return true;                                          \
             }                                                         \
     }
 
 const std::vector<NumField> &
 numFields()
 {
-    static const std::vector<NumField> fields = {
-        XPS_FIELD("measure", false, false, measureInstrs),
-        XPS_FIELD("warmup", false, false, warmupInstrs),
-        XPS_FIELD("stream", false, false, streamId),
-
-        XPS_FIELD("cfg.clock_ns", true, true, config.clockNs),
-        XPS_FIELD("cfg.width", false, true, config.width),
-        XPS_FIELD("cfg.rob", false, true, config.robSize),
-        XPS_FIELD("cfg.iq", false, true, config.iqSize),
-        XPS_FIELD("cfg.lsq", false, true, config.lsqSize),
-        XPS_FIELD("cfg.sched_depth", false, true, config.schedDepth),
-        XPS_FIELD("cfg.lsq_depth", false, true, config.lsqDepth),
-        XPS_FIELD("cfg.l1_sets", false, true, config.l1Sets),
-        XPS_FIELD("cfg.l1_assoc", false, true, config.l1Assoc),
-        XPS_FIELD("cfg.l1_line", false, true, config.l1LineBytes),
-        XPS_FIELD("cfg.l1_cycles", false, true, config.l1Cycles),
-        XPS_FIELD("cfg.l2_sets", false, true, config.l2Sets),
-        XPS_FIELD("cfg.l2_assoc", false, true, config.l2Assoc),
-        XPS_FIELD("cfg.l2_line", false, true, config.l2LineBytes),
-        XPS_FIELD("cfg.l2_cycles", false, true, config.l2Cycles),
-
-        XPS_FIELD("prof.seed", false, false, profile.seed),
-        XPS_FIELD("prof.frac_load", true, false, profile.fracLoad),
-        XPS_FIELD("prof.frac_store", true, false, profile.fracStore),
-        XPS_FIELD("prof.frac_cond_branch", true, false,
-                  profile.fracCondBranch),
-        XPS_FIELD("prof.frac_jump", true, false, profile.fracJump),
-        XPS_FIELD("prof.frac_mul", true, false, profile.fracMul),
-        XPS_FIELD("prof.mean_dep_distance", true, false,
-                  profile.meanDepDistance),
-        XPS_FIELD("prof.frac_two_src", true, false, profile.fracTwoSrc),
-        XPS_FIELD("prof.load_chase_prob", true, false,
-                  profile.loadChaseProb),
-        XPS_FIELD("prof.num_branch_sites", false, false,
-                  profile.numBranchSites),
-        XPS_FIELD("prof.frac_biased_sites", true, false,
-                  profile.fracBiasedSites),
-        XPS_FIELD("prof.biased_taken_prob", true, false,
-                  profile.biasedTakenProb),
-        XPS_FIELD("prof.frac_loop_sites", true, false,
-                  profile.fracLoopSites),
-        XPS_FIELD("prof.mean_loop_trip", true, false,
-                  profile.meanLoopTrip),
-        XPS_FIELD("prof.frac_pattern_sites", true, false,
-                  profile.fracPatternSites),
-        XPS_FIELD("prof.site_zipf_s", true, false, profile.siteZipfS),
-        XPS_FIELD("prof.working_set_bytes", false, false,
-                  profile.workingSetBytes),
-        XPS_FIELD("prof.heap_zipf_s", true, false, profile.heapZipfS),
-        XPS_FIELD("prof.frac_hot", true, false, profile.fracHot),
-        XPS_FIELD("prof.hot_region_bytes", false, false,
-                  profile.hotRegionBytes),
-        XPS_FIELD("prof.frac_stream", true, false, profile.fracStream),
-        XPS_FIELD("prof.num_streams", false, false, profile.numStreams),
-        XPS_FIELD("prof.stream_stride_bytes", false, false,
-                  profile.streamStrideBytes),
-        XPS_FIELD("prof.stream_window_bytes", false, false,
-                  profile.streamWindowBytes),
-    };
+    static const std::vector<NumField> fields = [] {
+        std::vector<NumField> f = {
+            XPS_FIELD("measure", false, measureInstrs),
+            XPS_FIELD("warmup", false, warmupInstrs),
+            XPS_FIELD("stream", false, streamId),
+        };
+        for (const ConfigField &cf : configFields()) {
+            f.push_back(NumField{std::string("cfg.") + cf.name,
+                                 cf.isFloat(), &cf, nullptr, nullptr});
+        }
+        f.insert(f.end(), {
+            XPS_FIELD("prof.seed", false, profile.seed),
+            XPS_FIELD("prof.frac_load", true, profile.fracLoad),
+            XPS_FIELD("prof.frac_store", true, profile.fracStore),
+            XPS_FIELD("prof.frac_cond_branch", true,
+                      profile.fracCondBranch),
+            XPS_FIELD("prof.frac_jump", true, profile.fracJump),
+            XPS_FIELD("prof.frac_mul", true, profile.fracMul),
+            XPS_FIELD("prof.mean_dep_distance", true,
+                      profile.meanDepDistance),
+            XPS_FIELD("prof.frac_two_src", true, profile.fracTwoSrc),
+            XPS_FIELD("prof.load_chase_prob", true,
+                      profile.loadChaseProb),
+            XPS_FIELD("prof.num_branch_sites", false,
+                      profile.numBranchSites),
+            XPS_FIELD("prof.frac_biased_sites", true,
+                      profile.fracBiasedSites),
+            XPS_FIELD("prof.biased_taken_prob", true,
+                      profile.biasedTakenProb),
+            XPS_FIELD("prof.frac_loop_sites", true,
+                      profile.fracLoopSites),
+            XPS_FIELD("prof.mean_loop_trip", true, profile.meanLoopTrip),
+            XPS_FIELD("prof.frac_pattern_sites", true,
+                      profile.fracPatternSites),
+            XPS_FIELD("prof.site_zipf_s", true, profile.siteZipfS),
+            XPS_FIELD("prof.working_set_bytes", false,
+                      profile.workingSetBytes),
+            XPS_FIELD("prof.heap_zipf_s", true, profile.heapZipfS),
+            XPS_FIELD("prof.frac_hot", true, profile.fracHot),
+            XPS_FIELD("prof.hot_region_bytes", false,
+                      profile.hotRegionBytes),
+            XPS_FIELD("prof.frac_stream", true, profile.fracStream),
+            XPS_FIELD("prof.num_streams", false, profile.numStreams),
+            XPS_FIELD("prof.stream_stride_bytes", false,
+                      profile.streamStrideBytes),
+            XPS_FIELD("prof.stream_window_bytes", false,
+                      profile.streamWindowBytes),
+        });
+        return f;
+    }();
     return fields;
 }
 
@@ -130,31 +133,12 @@ baselineCase()
     return b;
 }
 
-/** Fields the cache model additionally requires to be powers of
- *  two (sets and line sizes; checkFits alone does not enforce it). */
-bool
-requiresPow2(const char *key)
-{
-    for (const char *k : {"cfg.l1_sets", "cfg.l1_line", "cfg.l2_sets",
-                          "cfg.l2_line"}) {
-        if (std::strcmp(key, k) == 0)
-            return true;
-    }
-    return false;
-}
-
 bool
 candidateLegal(const PropCase &c, const NumField &field,
                const UnitTiming &timing)
 {
-    if (field.isConfig) {
-        if (!std::has_single_bit(c.config.l1Sets) ||
-            !std::has_single_bit<uint64_t>(c.config.l1LineBytes) ||
-            !std::has_single_bit(c.config.l2Sets) ||
-            !std::has_single_bit<uint64_t>(c.config.l2LineBytes))
-            return false;
+    if (field.config)
         return c.config.checkFits(timing).empty();
-    }
     return profileValid(c.profile) && c.measureInstrs >= 1;
 }
 
@@ -250,15 +234,14 @@ PropCase::parse(const std::string &text)
     c.config.name = take("config.name");
     c.profile.name = take("profile.name");
     for (const NumField &field : numFields()) {
-        const std::string v = take(field.key);
+        const std::string v = take(field.key.c_str());
         char *endp = nullptr;
         const double parsed = field.isFloat
             ? std::strtod(v.c_str(), &endp)
             : static_cast<double>(std::strtoull(v.c_str(), &endp, 10));
-        if (endp == v.c_str() || *endp != '\0')
+        if (endp == v.c_str() || *endp != '\0' || !field.set(c, parsed))
             fatal("prop case: bad value '%s' for '%s'", v.c_str(),
-                  field.key);
-        field.set(c, parsed);
+                  field.key.c_str());
     }
     if (!kv.empty())
         fatal("prop case: unknown key '%s'", kv.begin()->first.c_str());
@@ -360,7 +343,7 @@ shrinkCase(const PropCase &failing, const PropProperty &passes,
             double candidates[2] = {b, 0.0};
             int n = 1;
             double mid;
-            if (requiresPow2(field.key)) {
+            if (field.config && field.config->pow2) {
                 // Halve in log space so the midpoint stays a power
                 // of two (the cache model accepts nothing else).
                 const int lv = std::bit_width(
@@ -378,8 +361,8 @@ shrinkCase(const PropCase &failing, const PropProperty &passes,
                 candidates[n++] = mid;
             for (int i = 0; i < n; ++i) {
                 PropCase cand = cur;
-                field.set(cand, candidates[i]);
-                if (!candidateLegal(cand, field, timing))
+                if (!field.set(cand, candidates[i]) ||
+                    !candidateLegal(cand, field, timing))
                     continue;
                 if (++evals > max_evals)
                     return cur;

@@ -29,42 +29,6 @@ constexpr const char *kCellsMagic = "xps-matrix-row v1";
 
 using Cell = std::pair<size_t, size_t>; // (workload row, config column)
 
-/** Write `magic` and the identity manifest as `m key=value` lines up
- *  to `endm` — the header of both the partial file and a payload. */
-void
-writeHeader(std::ostream &out, const char *magic,
-            const CsvManifest &identity)
-{
-    out << magic << '\n';
-    for (const auto &[key, value] : identity.entries)
-        out << "m " << key << '=' << value << '\n';
-    out << "endm\n";
-}
-
-/** Read a header written by writeHeader; true when it carries `magic`
- *  and exactly `identity`. */
-bool
-readHeader(std::istream &in, const char *magic,
-           const CsvManifest &identity)
-{
-    std::string line;
-    if (!std::getline(in, line) || line != magic)
-        return false;
-    CsvManifest found;
-    while (std::getline(in, line)) {
-        if (line == "endm")
-            return found == identity;
-        if (line.rfind("m ", 0) != 0)
-            return false;
-        const size_t eq = line.find('=', 2);
-        if (eq == std::string::npos)
-            return false;
-        found.entries.emplace_back(line.substr(2, eq - 2),
-                                   line.substr(eq + 1));
-    }
-    return false; // no endm: torn inside the header
-}
-
 std::string
 cellLine(const Cell &cell, double ipt)
 {
@@ -94,7 +58,7 @@ parseCells(const std::string &content, const std::vector<Cell> &cells,
            std::vector<double> &ipt)
 {
     std::istringstream in(content);
-    if (!readHeader(in, kCellsMagic, identity))
+    if (!readManifestHeader(in, kCellsMagic, identity))
         return false;
     std::vector<double> vals(cells.size());
     std::string line;
@@ -129,7 +93,7 @@ loadPartialMatrix(const std::string &path, const CsvManifest &identity,
     if (!readFile(path, content))
         return 0;
     std::istringstream in(content);
-    if (!readHeader(in, kPartialMagic, identity))
+    if (!readManifestHeader(in, kPartialMagic, identity))
         return 0;
     fresh = false;
     size_t cells = 0;
@@ -254,7 +218,7 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
             // Absent, stale or corrupt: (re)write the header
             // atomically, then append below.
             std::ostringstream header;
-            writeHeader(header, kPartialMagic, identity);
+            writeManifestHeader(header, kPartialMagic, identity);
             atomicWriteFile(partialPath, header.str());
         }
         partial = std::fopen(partialPath.c_str(), "a");
@@ -302,7 +266,7 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
         tasks[t].faultSite = "cell.publish";
         tasks[t].run = [&, t] {
             std::ostringstream payload;
-            writeHeader(payload, kCellsMagic, identity);
+            writeManifestHeader(payload, kCellsMagic, identity);
             for (const Cell &cell : task_cells[t]) {
                 ProcPool::beat(); // per-cell liveness
                 const auto [w, c] = cell;

@@ -1,5 +1,6 @@
 #include "explore/checkpoint.hh"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -28,21 +29,44 @@ parseHexDouble(const std::string &text, double &out)
     return end == text.c_str() + text.size();
 }
 
+void
+writeManifestHeader(std::ostream &out, const char *magic,
+                    const CsvManifest &identity)
+{
+    out << magic << '\n';
+    for (const auto &[key, value] : identity.entries)
+        out << "m " << key << '=' << value << '\n';
+    out << "endm\n";
+}
+
+bool
+readManifestHeader(std::istream &in, const char *magic,
+                   const CsvManifest &identity)
+{
+    std::string line;
+    if (!std::getline(in, line) || line != magic)
+        return false;
+    CsvManifest found;
+    while (std::getline(in, line)) {
+        if (line == "endm")
+            return found == identity;
+        if (line.rfind("m ", 0) != 0)
+            return false;
+        const size_t eq = line.find('=', 2);
+        if (eq == std::string::npos)
+            return false;
+        found.entries.emplace_back(line.substr(2, eq - 2),
+                                   line.substr(eq + 1));
+    }
+    return false; // no endm: torn inside the header
+}
+
 namespace
 {
 
 constexpr const char *kMagic = "xps-checkpoint v1";
 
 // --- writing ---------------------------------------------------------------
-
-void
-emitManifest(std::ostringstream &out, const CsvManifest &identity)
-{
-    out << kMagic << '\n';
-    for (const auto &[key, value] : identity.entries)
-        out << "m " << key << '=' << value << '\n';
-    out << "endm\n";
-}
 
 /** Empty strings would vanish under tokenization; "-" stands in. */
 std::string
@@ -63,18 +87,17 @@ decodeName(const std::string &token)
     return token == "-" ? std::string() : token;
 }
 
+/** `config <tag>`, then the toCsvRow() cells with the name encoded. */
 void
 emitConfig(std::ostringstream &out, const char *tag,
            const CoreConfig &cfg)
 {
-    out << "config " << tag << ' ' << encodeName(cfg.name) << ' '
-        << formatHexDouble(cfg.clockNs) << ' ' << cfg.width << ' '
-        << cfg.robSize << ' ' << cfg.iqSize << ' ' << cfg.lsqSize
-        << ' ' << cfg.schedDepth << ' ' << cfg.lsqDepth << ' '
-        << cfg.l1Sets << ' ' << cfg.l1Assoc << ' ' << cfg.l1LineBytes
-        << ' ' << cfg.l1Cycles << ' ' << cfg.l2Sets << ' '
-        << cfg.l2Assoc << ' ' << cfg.l2LineBytes << ' ' << cfg.l2Cycles
-        << '\n';
+    std::vector<std::string> row = cfg.toCsvRow();
+    row[0] = encodeName(row[0]);
+    out << "config " << tag;
+    for (const std::string &cell : row)
+        out << ' ' << cell;
+    out << '\n';
 }
 
 void
@@ -162,76 +185,34 @@ class LineReader
     size_t pos_ = 0;
 };
 
+/** One RNG word: exactly the hex digits emitAnnealerState prints. */
 bool
-parseU64(const std::string &text, uint64_t &out)
+parseHexWord(const std::string &text, uint64_t &out)
 {
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return end == text.c_str() + text.size();
-}
-
-bool
-parseHexU64(const std::string &text, uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 16);
-    return end == text.c_str() + text.size();
-}
-
-template <typename T>
-bool
-parseInt(const std::string &text, T &out)
-{
-    uint64_t v;
-    if (!parseU64(text, v))
-        return false;
-    out = static_cast<T>(v);
-    return static_cast<uint64_t>(out) == v;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out, 16);
+    return ec == std::errc() && ptr == end;
 }
 
 /**
- * Split the file into manifest + tokenized payload lines; false on a
- * missing magic, unterminated manifest, manifest mismatch, or missing
- * trailing "end" marker (truncation).
+ * Split the file into manifest + tokenized payload lines (a blank line
+ * stays, as a line no record accepts); false on a header
+ * readManifestHeader rejects, data after the trailing "end" marker,
+ * or a missing one (truncation).
  */
 bool
 splitCheckpoint(const std::string &content, const CsvManifest &identity,
                 LineReader &reader)
 {
     std::istringstream in(content);
-    std::string line;
-    if (!std::getline(in, line) || line != kMagic)
+    if (!readManifestHeader(in, kMagic, identity))
         return false;
-
-    CsvManifest manifest;
-    bool manifest_closed = false;
     bool saw_end = false;
     std::vector<std::vector<std::string>> payload;
+    std::string line;
     while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            continue;
         if (saw_end)
             return false; // data after the end marker
-        if (!manifest_closed) {
-            if (line == "endm") {
-                manifest_closed = true;
-                continue;
-            }
-            if (line.rfind("m ", 0) != 0)
-                return false;
-            const size_t eq = line.find('=', 2);
-            if (eq == std::string::npos)
-                return false;
-            manifest.entries.emplace_back(line.substr(2, eq - 2),
-                                          line.substr(eq + 1));
-            continue;
-        }
         if (line == "end") {
             saw_end = true;
             continue;
@@ -243,9 +224,7 @@ splitCheckpoint(const std::string &content, const CsvManifest &identity,
             tokens.push_back(std::move(t));
         payload.push_back(std::move(tokens));
     }
-    if (!manifest_closed || !saw_end)
-        return false;
-    if (!(manifest == identity))
+    if (!saw_end)
         return false;
     reader = LineReader(std::move(payload));
     return true;
@@ -254,30 +233,13 @@ splitCheckpoint(const std::string &content, const CsvManifest &identity,
 bool
 parseConfig(LineReader &reader, const char *tag, CoreConfig &out)
 {
-    const auto *line = reader.expect("config", 17);
+    const std::vector<std::string> header = CoreConfig::csvHeader();
+    const auto *line = reader.expect("config", 1 + header.size());
     if (!line || (*line)[1] != tag)
         return false;
-    CoreConfig cfg;
-    cfg.name = decodeName((*line)[2]);
-    bool ok = parseHexDouble((*line)[3], cfg.clockNs) &&
-              parseInt((*line)[4], cfg.width) &&
-              parseInt((*line)[5], cfg.robSize) &&
-              parseInt((*line)[6], cfg.iqSize) &&
-              parseInt((*line)[7], cfg.lsqSize) &&
-              parseInt((*line)[8], cfg.schedDepth) &&
-              parseInt((*line)[9], cfg.lsqDepth) &&
-              parseU64((*line)[10], cfg.l1Sets) &&
-              parseInt((*line)[11], cfg.l1Assoc) &&
-              parseInt((*line)[12], cfg.l1LineBytes) &&
-              parseInt((*line)[13], cfg.l1Cycles) &&
-              parseU64((*line)[14], cfg.l2Sets) &&
-              parseInt((*line)[15], cfg.l2Assoc) &&
-              parseInt((*line)[16], cfg.l2LineBytes) &&
-              parseInt((*line)[17], cfg.l2Cycles);
-    if (!ok)
-        return false;
-    out = cfg;
-    return true;
+    std::vector<std::string> row(line->begin() + 2, line->end());
+    row[0] = decodeName(row[0]);
+    return CoreConfig::fromCsvRow(header, row, out);
 }
 
 bool
@@ -286,15 +248,17 @@ parseMemo(LineReader &reader,
 {
     const auto *count_line = reader.expect("memo.count", 1);
     uint64_t count;
-    if (!count_line || !parseU64((*count_line)[1], count) ||
+    if (!count_line || !parseCsvNumber((*count_line)[1], count) ||
         count > reader.remaining())
         return false;
     out.clear();
     out.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
         const auto *line = reader.expect("memo", 2);
+        CoreConfig cfg;
         double value;
-        if (!line || !parseHexDouble((*line)[2], value))
+        if (!line || !CoreConfig::fromMemoKey((*line)[1], cfg) ||
+            !parseHexDouble((*line)[2], value))
             return false;
         out.emplace_back((*line)[1], value);
     }
@@ -333,7 +297,7 @@ parseAnnealerState(LineReader &reader, AnnealerState &out)
 {
     AnnealerState st;
     const auto *line = reader.expect("anneal.iter", 1);
-    if (!line || !parseU64((*line)[1], st.iteration))
+    if (!line || !parseCsvNumber((*line)[1], st.iteration))
         return false;
     line = reader.expect("anneal.temp", 1);
     if (!line || !parseHexDouble((*line)[1], st.temp))
@@ -342,7 +306,7 @@ parseAnnealerState(LineReader &reader, AnnealerState &out)
     if (!line)
         return false;
     for (int i = 0; i < 4; ++i) {
-        if (!parseHexU64((*line)[1 + i], st.rng[i]))
+        if (!parseHexWord((*line)[1 + i], st.rng[i]))
             return false;
     }
     line = reader.expect("anneal.score", 1);
@@ -356,16 +320,16 @@ parseAnnealerState(LineReader &reader, AnnealerState &out)
     if (!line || !parseHexDouble((*line)[1], st.result.bestScore))
         return false;
     line = reader.expect("anneal.evals", 1);
-    if (!line || !parseU64((*line)[1], st.result.evaluations))
+    if (!line || !parseCsvNumber((*line)[1], st.result.evaluations))
         return false;
     line = reader.expect("anneal.accepted", 1);
-    if (!line || !parseU64((*line)[1], st.result.accepted))
+    if (!line || !parseCsvNumber((*line)[1], st.result.accepted))
         return false;
     line = reader.expectVariadic("trace");
     if (!line || line->size() < 2)
         return false;
     uint64_t entries;
-    if (!parseU64((*line)[1], entries) || entries > line->size() ||
+    if (!parseCsvNumber((*line)[1], entries) || entries > line->size() ||
         line->size() != 2 + 2 * entries) {
         return false;
     }
@@ -373,7 +337,7 @@ parseAnnealerState(LineReader &reader, AnnealerState &out)
     for (uint64_t i = 0; i < entries; ++i) {
         uint64_t iter;
         double score;
-        if (!parseU64((*line)[2 + 2 * i], iter) ||
+        if (!parseCsvNumber((*line)[2 + 2 * i], iter) ||
             !parseHexDouble((*line)[3 + 2 * i], score)) {
             return false;
         }
@@ -390,7 +354,7 @@ serializeWorkloadCheckpoint(const WorkloadCheckpoint &ckpt,
                             const CsvManifest &identity)
 {
     std::ostringstream out;
-    emitManifest(out, identity);
+    writeManifestHeader(out, kMagic, identity);
     out << "round " << ckpt.round << '\n';
     out << "evals " << ckpt.evals << '\n';
     out << "adoptions " << ckpt.adoptions << '\n';
@@ -411,13 +375,14 @@ parseWorkloadCheckpoint(const std::string &content,
         return false;
     WorkloadCheckpoint ckpt;
     const auto *line = reader.expect("round", 1);
-    if (!line || !parseInt((*line)[1], ckpt.round))
+    if (!line || !parseCsvNumber((*line)[1], ckpt.round) ||
+        ckpt.round < 0)
         return false;
     line = reader.expect("evals", 1);
-    if (!line || !parseU64((*line)[1], ckpt.evals))
+    if (!line || !parseCsvNumber((*line)[1], ckpt.evals))
         return false;
     line = reader.expect("adoptions", 1);
-    if (!line || !parseU64((*line)[1], ckpt.adoptions))
+    if (!line || !parseCsvNumber((*line)[1], ckpt.adoptions))
         return false;
     if (!parseAnnealerState(reader, ckpt.anneal) ||
         !parseMemo(reader, ckpt.memo) ||
@@ -433,7 +398,7 @@ serializeSuiteCheckpoint(const SuiteCheckpoint &ckpt,
                          const CsvManifest &identity)
 {
     std::ostringstream out;
-    emitManifest(out, identity);
+    writeManifestHeader(out, kMagic, identity);
     out << "round " << ckpt.round << '\n';
     out << "workloads " << ckpt.workloads.size() << '\n';
     for (const auto &w : ckpt.workloads) {
@@ -457,11 +422,12 @@ parseSuiteCheckpoint(const std::string &content,
         return false;
     SuiteCheckpoint ckpt;
     const auto *line = reader.expect("round", 1);
-    if (!line || !parseInt((*line)[1], ckpt.round))
+    if (!line || !parseCsvNumber((*line)[1], ckpt.round) ||
+        ckpt.round < 0)
         return false;
     line = reader.expect("workloads", 1);
     uint64_t workloads;
-    if (!line || !parseU64((*line)[1], workloads) ||
+    if (!line || !parseCsvNumber((*line)[1], workloads) ||
         workloads > reader.remaining())
         return false;
     ckpt.workloads.reserve(workloads);
@@ -473,10 +439,10 @@ parseSuiteCheckpoint(const std::string &content,
         if (!l || !parseHexDouble((*l)[1], w.currentIpt))
             return false;
         l = reader.expect("evals", 1);
-        if (!l || !parseU64((*l)[1], w.evals))
+        if (!l || !parseCsvNumber((*l)[1], w.evals))
             return false;
         l = reader.expect("adoptions", 1);
-        if (!l || !parseU64((*l)[1], w.adoptions))
+        if (!l || !parseCsvNumber((*l)[1], w.adoptions))
             return false;
         if (!parseMemo(reader, w.memo) ||
             !parseSurrogate(reader, w.surrogate)) {

@@ -14,19 +14,21 @@
  *    mixes pre- and post-adoption state. The final phase's checkpoint
  *    is its matrix's partial file (final.partial, comm/perf_matrix.hh).
  *
- * All floating-point values are serialized as C99 hex-floats, so a
+ * Scores are serialized as C99 hex-floats and configurations (`config`
+ * lines, memo keys) as their exact CoreConfig::toCsvRow() cells, so a
  * resumed run continues bit-identically to an uninterrupted one. An
  * identity manifest (budget knobs, seeds, profile fingerprints,
  * search bounds) is embedded in every file; a checkpoint whose
  * manifest does not match the present run is ignored and exploration
  * restarts from scratch — stale state is never silently reused.
- * Parsing is tolerant: truncated or corrupted files yield false, not
- * a crash.
+ * Parsing is strict: truncated or corrupted files, and configs or
+ * memo keys the field table (sim/config.hh) rejects, yield false.
  */
 
 #ifndef XPS_EXPLORE_CHECKPOINT_HH
 #define XPS_EXPLORE_CHECKPOINT_HH
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -42,6 +44,16 @@ std::string formatHexDouble(double value);
 /** Parse a hex-float; false on malformed input. */
 bool parseHexDouble(const std::string &text, double &out);
 
+/** Write `magic` and `identity` as `m key=value` lines up to `endm`:
+ *  the header of checkpoints and of matrix partials and payloads. */
+void writeManifestHeader(std::ostream &out, const char *magic,
+                         const CsvManifest &identity);
+
+/** Read a writeManifestHeader() header; true when it carries `magic`
+ *  and exactly `identity`. A blank line or a '\r' is a reject. */
+bool readManifestHeader(std::istream &in, const char *magic,
+                        const CsvManifest &identity);
+
 /** Mid-round annealing state of one workload. */
 struct WorkloadCheckpoint
 {
@@ -49,7 +61,7 @@ struct WorkloadCheckpoint
     AnnealerState anneal;
     uint64_t evals = 0;     ///< simulator evaluations so far
     uint64_t adoptions = 0; ///< foreign configurations adopted so far
-    /** Evaluation memo: archKey -> IPT. */
+    /** Evaluation memo: CoreConfig::memoKey() -> IPT. */
     std::vector<std::pair<std::string, double>> memo;
     /** Serialized surrogate model state (IpcPredictor::serialize());
      *  empty when the run has no surrogate. Kept as an opaque string

@@ -29,20 +29,6 @@ namespace xps
 namespace
 {
 
-/** Stable cache key over the architectural fields of a config. */
-std::string
-archKey(const CoreConfig &cfg)
-{
-    std::ostringstream key;
-    key << cfg.clockNs << '|' << cfg.width << '|' << cfg.robSize << '|'
-        << cfg.iqSize << '|' << cfg.lsqSize << '|' << cfg.schedDepth
-        << '|' << cfg.lsqDepth << '|' << cfg.l1Sets << '|'
-        << cfg.l1Assoc << '|' << cfg.l1LineBytes << '|' << cfg.l1Cycles
-        << '|' << cfg.l2Sets << '|' << cfg.l2Assoc << '|'
-        << cfg.l2LineBytes << '|' << cfg.l2Cycles;
-    return key.str();
-}
-
 std::vector<std::pair<std::string, double>>
 memoToVector(const std::unordered_map<std::string, double> &memo)
 {
@@ -107,7 +93,7 @@ CsvManifest
 Explorer::checkpointIdentity() const
 {
     CsvManifest m;
-    m.set("schema", std::string("2"));
+    m.set("schema", std::string("3"));
     m.set("eval_instrs", opts_.evalInstrs);
     m.set("sa_iters", opts_.saIters);
     m.set("rounds", static_cast<uint64_t>(opts_.rounds));
@@ -223,7 +209,7 @@ Explorer::annealWorkloadRound(
 
     auto objective = [&](const CoreConfig &cfg) {
         ProcPool::beat(); // liveness for the supervised mode
-        const std::string key = archKey(cfg);
+        const std::string key = cfg.memoKey();
         const auto it = memo.find(key);
         if (it != memo.end())
             return it->second;
@@ -276,7 +262,7 @@ Explorer::annealWorkloadRound(
                 std::vector<CoreConfig> to_sim;
                 std::vector<std::vector<double>> phis;
                 for (size_t i = 0; i < cands.size(); ++i) {
-                    const auto it = memo.find(archKey(cands[i]));
+                    const auto it = memo.find(cands[i].memoKey());
                     if (it != memo.end()) {
                         scores[i] = it->second;
                         full[i] = kScreenFull;
@@ -316,7 +302,7 @@ Explorer::annealWorkloadRound(
                     scores[pos[j]] = ipt;
                     full[pos[j]] = kScreenFull;
                     ++evals;
-                    memo.emplace(archKey(cands[pos[j]]), ipt);
+                    memo.emplace(cands[pos[j]].memoKey(), ipt);
                     if (surrogate_on) {
                         const bool was_armed = pred.armed();
                         const double err = pred.observe(phis[j], ipt);
@@ -484,7 +470,7 @@ Explorer::exploreAll()
         SuiteCheckpoint sc;
         if (readFile(suiteCheckpointPath(), content)) {
             if (parseSuiteCheckpoint(content, identity, sc) &&
-                sc.workloads.size() == n) {
+                sc.workloads.size() == n && sc.round <= opts_.rounds) {
                 for (size_t w = 0; w < n; ++w) {
                     current[w] = sc.workloads[w].current;
                     current_ipt[w] = sc.workloads[w].currentIpt;
@@ -559,7 +545,7 @@ Explorer::exploreAll()
             if (other == w || rep[other] != other ||
                 current[other].sameArch(current[w]))
                 continue;
-            std::string key = archKey(current[other]);
+            std::string key = current[other].memoKey();
             if (memo[w].contains(key))
                 continue;
             const auto [it, fresh] = wave.emplace(std::move(key), 0.0);
@@ -576,7 +562,7 @@ Explorer::exploreAll()
     auto cached_eval = [&](size_t w, const CoreConfig &cfg,
                            const Wave &wave) {
         auto &m = memo[w];
-        const std::string key = archKey(cfg);
+        const std::string key = cfg.memoKey();
         const auto it = m.find(key);
         if (it != m.end())
             return it->second;

@@ -56,8 +56,9 @@ uintField(const Value &v, const char *key, uint64_t def, uint64_t cap,
 
 /**
  * Apply one config-override object onto a base CoreConfig. Closed
- * world: every key must be a known architectural field, and the
- * resulting configuration must satisfy the timing model.
+ * world: every key must be a protocol key of the field table, each
+ * value a number the field admits, and the resulting configuration
+ * must satisfy checkFits.
  */
 bool
 parseConfig(const Value &obj, CoreConfig &cfg, std::string &error)
@@ -67,53 +68,14 @@ parseConfig(const Value &obj, CoreConfig &cfg, std::string &error)
     for (const auto &[key, val] : obj.fields) {
         if (val.type != Value::Type::Number)
             return fail(error, "config." + key + " must be a number");
-        const double x = val.number;
-        auto asU32 = [&](uint32_t &field) {
-            field = static_cast<uint32_t>(x);
-            return x >= 1 && x == std::floor(x) && x <= 1u << 20;
-        };
-        auto asU64 = [&](uint64_t &field) {
-            field = static_cast<uint64_t>(x);
-            return x >= 1 && x == std::floor(x) && x <= 1u << 24;
-        };
-        auto asInt = [&](int &field) {
-            field = static_cast<int>(x);
-            return x >= 1 && x == std::floor(x) && x <= 64;
-        };
-        bool ok;
-        if (key == "clock_ns")
-            ok = (cfg.clockNs = x) > 0.0 && x < 100.0;
-        else if (key == "width")
-            ok = asU32(cfg.width);
-        else if (key == "rob_size")
-            ok = asU32(cfg.robSize);
-        else if (key == "iq_size")
-            ok = asU32(cfg.iqSize);
-        else if (key == "lsq_size")
-            ok = asU32(cfg.lsqSize);
-        else if (key == "sched_depth")
-            ok = asInt(cfg.schedDepth);
-        else if (key == "lsq_depth")
-            ok = asInt(cfg.lsqDepth);
-        else if (key == "l1_sets")
-            ok = asU64(cfg.l1Sets);
-        else if (key == "l1_assoc")
-            ok = asU32(cfg.l1Assoc);
-        else if (key == "l1_line_bytes")
-            ok = asU32(cfg.l1LineBytes);
-        else if (key == "l1_cycles")
-            ok = asInt(cfg.l1Cycles);
-        else if (key == "l2_sets")
-            ok = asU64(cfg.l2Sets);
-        else if (key == "l2_assoc")
-            ok = asU32(cfg.l2Assoc);
-        else if (key == "l2_line_bytes")
-            ok = asU32(cfg.l2LineBytes);
-        else if (key == "l2_cycles")
-            ok = asInt(cfg.l2Cycles);
-        else
+        const ConfigField *field = nullptr;
+        for (const ConfigField &f : configFields()) {
+            if (key == f.protocolName)
+                field = &f;
+        }
+        if (!field)
             return fail(error, "unknown config key '" + key + "'");
-        if (!ok)
+        if (!field->set(val.number, cfg))
             return fail(error, "config." + key + " is out of range");
     }
     const UnitTiming timing;

@@ -5,10 +5,12 @@
  * response line out, in request order per connection.
  *
  * Parsing is closed-world (obs/json): unknown ops, unknown or
- * repeated workload names, unknown configuration keys, and
- * configurations that fail checkFits() are rejected with an explicit
- * error response — client input is untrusted and must never fatal()
- * the daemon.
+ * repeated workload names, configuration keys that are not a
+ * protocol key of the CoreConfig field table (sim/config.hh), values
+ * outside a field's range, and configurations that fail checkFits()
+ * (which includes cache geometry the simulator cannot build) are
+ * rejected with an explicit error response — client input is
+ * untrusted and must never fatal() the daemon or a worker.
  *
  * Every compute request canonicalizes to a CsvManifest identity
  * (schema version, op, budget knobs, profile and config

@@ -1,9 +1,11 @@
 #include "sim/config.hh"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "util/csv.hh"
 #include "util/logging.hh"
@@ -34,16 +36,17 @@ std::string
 CoreConfig::checkFits(const UnitTiming &timing) const
 {
     std::ostringstream why;
+    for (const ConfigField &f : configFields()) {
+        const double v = f.get(*this);
+        if (!f.admits(v))
+            return std::string(f.name) + " out of range";
+        if (f.pow2 && !std::has_single_bit(static_cast<uint64_t>(v)))
+            return std::string(f.name) + " not a power of two";
+    }
     if (clockNs <= timing.tech().latchLatencyNs + 1e-9)
         return "clock period not above latch latency";
-    if (width < 1 || width > 8)
-        return "width out of [1,8]";
     if (robSize < width || iqSize < width || lsqSize < 2)
         return "window structures too small for the width";
-    if (schedDepth < 1 || schedDepth > 6 || lsqDepth < 1 || lsqDepth > 8)
-        return "scheduler/LSQ depth out of range";
-    if (l1Cycles < 1 || l2Cycles < 1)
-        return "cache latencies must be at least one cycle";
 
     if (!timing.fits(timing.iqTotal(iqSize, width), schedDepth, clockNs)) {
         why << "issue queue " << iqSize << " @w" << width
@@ -115,32 +118,19 @@ CoreConfig::initial()
 std::vector<std::string>
 CoreConfig::csvHeader()
 {
-    return {"name", "clock_ns", "width", "rob", "iq", "lsq",
-            "sched_depth", "lsq_depth", "l1_sets", "l1_assoc",
-            "l1_line", "l1_cycles", "l2_sets", "l2_assoc", "l2_line",
-            "l2_cycles"};
+    std::vector<std::string> header{"name"};
+    for (const ConfigField &f : configFields())
+        header.push_back(f.name);
+    return header;
 }
 
 std::vector<std::string>
 CoreConfig::toCsvRow() const
 {
-    // Shortest decimal that round-trips exactly through strtod, so a
-    // cached configuration reloads with the very same clock it was
-    // explored at (sameArch compares clocks bit-exactly).
-    char clock[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(clock, sizeof(clock), "%.*g", prec, clockNs);
-        if (std::strtod(clock, nullptr) == clockNs)
-            break;
-    }
-    return {name, clock, std::to_string(width),
-            std::to_string(robSize), std::to_string(iqSize),
-            std::to_string(lsqSize), std::to_string(schedDepth),
-            std::to_string(lsqDepth), std::to_string(l1Sets),
-            std::to_string(l1Assoc), std::to_string(l1LineBytes),
-            std::to_string(l1Cycles), std::to_string(l2Sets),
-            std::to_string(l2Assoc), std::to_string(l2LineBytes),
-            std::to_string(l2Cycles)};
+    std::vector<std::string> row{name};
+    for (const ConfigField &f : configFields())
+        row.push_back(f.format(*this));
+    return row;
 }
 
 bool
@@ -162,28 +152,48 @@ CoreConfig::fromCsvRow(const std::vector<std::string> &header,
         return false;
     CoreConfig cfg;
     cfg.name = *name;
-    bool ok = true;
-    auto field = [&](const char *key, auto &member) {
-        const std::string *cell = get(key);
-        ok = ok && cell && parseCsvNumber(*cell, member);
-    };
-    field("clock_ns", cfg.clockNs);
-    field("width", cfg.width);
-    field("rob", cfg.robSize);
-    field("iq", cfg.iqSize);
-    field("lsq", cfg.lsqSize);
-    field("sched_depth", cfg.schedDepth);
-    field("lsq_depth", cfg.lsqDepth);
-    field("l1_sets", cfg.l1Sets);
-    field("l1_assoc", cfg.l1Assoc);
-    field("l1_line", cfg.l1LineBytes);
-    field("l1_cycles", cfg.l1Cycles);
-    field("l2_sets", cfg.l2Sets);
-    field("l2_assoc", cfg.l2Assoc);
-    field("l2_line", cfg.l2LineBytes);
-    field("l2_cycles", cfg.l2Cycles);
+    for (const ConfigField &f : configFields()) {
+        // The cell parses into the member's own type; set() then
+        // range-checks it before assigning.
+        const std::string *cell = get(f.name);
+        const bool ok = cell && std::visit(
+            [&](auto m) {
+                std::decay_t<decltype(cfg.*m)> value{};
+                return parseCsvNumber(*cell, value) &&
+                       f.set(static_cast<double>(value), cfg);
+            },
+            f.member);
+        if (!ok)
+            return false;
+    }
     static const UnitTiming timing;
-    if (!ok || !cfg.checkFits(timing).empty())
+    if (!cfg.checkFits(timing).empty())
+        return false;
+    out = std::move(cfg);
+    return true;
+}
+
+std::string
+CoreConfig::memoKey() const
+{
+    std::string key;
+    for (const ConfigField &f : configFields()) {
+        if (!key.empty())
+            key += '|';
+        key += f.format(*this);
+    }
+    return key;
+}
+
+bool
+CoreConfig::fromMemoKey(const std::string &key, CoreConfig &out)
+{
+    std::vector<std::string> row{""};
+    std::istringstream cells(key);
+    for (std::string cell; std::getline(cells, cell, '|');)
+        row.push_back(cell);
+    CoreConfig cfg;
+    if (!fromCsvRow(csvHeader(), row, cfg) || cfg.memoKey() != key)
         return false;
     out = std::move(cfg);
     return true;
@@ -210,16 +220,13 @@ CoreConfig::summary() const
 bool
 CoreConfig::sameArch(const CoreConfig &other) const
 {
-    return clockNs == other.clockNs && width == other.width &&
-           robSize == other.robSize && iqSize == other.iqSize &&
-           lsqSize == other.lsqSize && schedDepth == other.schedDepth &&
-           lsqDepth == other.lsqDepth && l1Sets == other.l1Sets &&
-           l1Assoc == other.l1Assoc &&
-           l1LineBytes == other.l1LineBytes &&
-           l1Cycles == other.l1Cycles && l2Sets == other.l2Sets &&
-           l2Assoc == other.l2Assoc &&
-           l2LineBytes == other.l2LineBytes &&
-           l2Cycles == other.l2Cycles;
+    for (const ConfigField &f : configFields()) {
+        const bool same = std::visit(
+            [&](auto m) { return this->*m == other.*m; }, f.member);
+        if (!same)
+            return false;
+    }
+    return true;
 }
 
 uint64_t
@@ -228,26 +235,94 @@ configFingerprint(const CoreConfig &cfg)
     // FNV-1a over 64-bit lanes; the clock by bit pattern so distinct
     // doubles never collide through decimal rounding.
     uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
-    uint64_t clock_bits;
-    static_assert(sizeof(clock_bits) == sizeof(cfg.clockNs));
-    __builtin_memcpy(&clock_bits, &cfg.clockNs, sizeof(clock_bits));
-    mix(clock_bits);
-    mix(cfg.width);
-    mix(cfg.robSize);
-    mix(cfg.iqSize);
-    mix(cfg.lsqSize);
-    mix(static_cast<uint64_t>(cfg.schedDepth));
-    mix(static_cast<uint64_t>(cfg.lsqDepth));
-    mix(cfg.l1Sets);
-    mix(cfg.l1Assoc);
-    mix(cfg.l1LineBytes);
-    mix(static_cast<uint64_t>(cfg.l1Cycles));
-    mix(cfg.l2Sets);
-    mix(cfg.l2Assoc);
-    mix(cfg.l2LineBytes);
-    mix(static_cast<uint64_t>(cfg.l2Cycles));
+    for (const ConfigField &f : configFields()) {
+        const uint64_t lane = std::visit(
+            [&](auto m) {
+                if constexpr (std::is_same_v<decltype(m),
+                                             double CoreConfig::*>)
+                    return std::bit_cast<uint64_t>(cfg.*m);
+                else
+                    return static_cast<uint64_t>(cfg.*m);
+            },
+            f.member);
+        h = (h ^ lane) * 0x100000001b3ULL;
+    }
     return h;
+}
+
+bool
+ConfigField::admits(double value) const
+{
+    if (isFloat())
+        return value > lo && value < hi;
+    return value >= lo && value <= hi && value == std::floor(value);
+}
+
+double
+ConfigField::get(const CoreConfig &cfg) const
+{
+    return std::visit(
+        [&](auto m) { return static_cast<double>(cfg.*m); }, member);
+}
+
+bool
+ConfigField::set(double value, CoreConfig &cfg) const
+{
+    if (!admits(value))
+        return false;
+    std::visit(
+        [&](auto m) {
+            cfg.*m = static_cast<std::decay_t<decltype(cfg.*m)>>(value);
+        },
+        member);
+    return true;
+}
+
+std::string
+ConfigField::format(const CoreConfig &cfg) const
+{
+    if (!isFloat()) {
+        return std::visit(
+            [&](auto m) { return std::to_string(cfg.*m); }, member);
+    }
+    // Shortest decimal that round-trips exactly through strtod, so a
+    // cached configuration reloads with the very same clock it was
+    // explored at (sameArch compares clocks bit-exactly).
+    const double clock = get(cfg);
+    char cell[40];
+    for (int prec = 15; prec <= 17; ++prec) {
+        std::snprintf(cell, sizeof(cell), "%.*g", prec, clock);
+        if (std::strtod(cell, nullptr) == clock)
+            break;
+    }
+    return cell;
+}
+
+const std::array<ConfigField, 15> &
+configFields()
+{
+    // Upper bounds: width and depths as the timing model always
+    // allowed, cycles and clock as the protocol did, sizes at the
+    // largest entry of the search space's candidates (fitting.cc).
+    using C = CoreConfig;
+    static const std::array<ConfigField, 15> fields{{
+        {"clock_ns", "clock_ns", &C::clockNs, 0, 100, false},
+        {"width", "width", &C::width, 1, 8, false},
+        {"rob", "rob_size", &C::robSize, 1, 1024, false},
+        {"iq", "iq_size", &C::iqSize, 1, 256, false},
+        {"lsq", "lsq_size", &C::lsqSize, 1, 256, false},
+        {"sched_depth", "sched_depth", &C::schedDepth, 1, 6, false},
+        {"lsq_depth", "lsq_depth", &C::lsqDepth, 1, 8, false},
+        {"l1_sets", "l1_sets", &C::l1Sets, 1, 32768, true},
+        {"l1_assoc", "l1_assoc", &C::l1Assoc, 1, 16, false},
+        {"l1_line", "l1_line_bytes", &C::l1LineBytes, 1, 512, true},
+        {"l1_cycles", "l1_cycles", &C::l1Cycles, 1, 64, false},
+        {"l2_sets", "l2_sets", &C::l2Sets, 1, 32768, true},
+        {"l2_assoc", "l2_assoc", &C::l2Assoc, 1, 16, false},
+        {"l2_line", "l2_line_bytes", &C::l2LineBytes, 1, 512, true},
+        {"l2_cycles", "l2_cycles", &C::l2Cycles, 1, 64, false},
+    }};
+    return fields;
 }
 
 } // namespace xps

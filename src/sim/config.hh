@@ -6,13 +6,23 @@
  * memory access latency in cycles are *derived* from the fixed Table-2
  * latencies and the clock, and every sized unit must fit its assigned
  * pipeline depth under the cacti-lite model (validate()).
+ *
+ * configFields() is the one list of the 15 architectural fields:
+ * every codec (CSV row, checkpoint line, memo key, xps-serve config,
+ * PropGen case), sameArch() and the fingerprint read it. `name` is the
+ * CSV column, the checkpoint and memo-key cell and PropGen's
+ * `cfg.<name>` key; `protocolName` is the xps-serve key. A decoder
+ * parses each cell into its member's type, checks the range before
+ * assigning, then runs checkFits(); any failure is a reject.
  */
 
 #ifndef XPS_SIM_CONFIG_HH
 #define XPS_SIM_CONFIG_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "timing/unit_timing.hh"
@@ -75,14 +85,15 @@ struct CoreConfig
     }
 
     /**
-     * Check that every unit fits its assigned depth at this clock
-     * under the timing model, and that parameters are in range.
-     * Returns an empty string when valid, else a description of the
-     * first violated constraint.
+     * Check that every field is in its configFields() range (a power
+     * of two where required), that the window structures suit the
+     * width, and that every unit fits its assigned depth at this
+     * clock under the timing model. Returns an empty string when
+     * valid, else a description of the first violated constraint.
      */
     std::string checkFits(const UnitTiming &timing) const;
 
-    /** fatal() unless checkFits passes and basic ranges hold. */
+    /** fatal() unless checkFits passes. */
     void validate(const UnitTiming &timing) const;
 
     /** The paper's Table-3 initial configuration. */
@@ -98,12 +109,49 @@ struct CoreConfig
                            const std::vector<std::string> &row,
                            CoreConfig &out);
 
+    /** The explorer's memo key: the toCsvRow() field cells joined by
+     *  '|'. fromMemoKey() decodes one as fromCsvRow() does, and also
+     *  rejects a key that is not the canonical key of its config. */
+    std::string memoKey() const;
+    static bool fromMemoKey(const std::string &key, CoreConfig &out);
+
     /** Human-readable one-line summary. */
     std::string summary() const;
 
     /** Identity on all architectural fields (name excluded). */
     bool sameArch(const CoreConfig &other) const;
 };
+
+/** One architectural field: its names, member and legal values. */
+struct ConfigField
+{
+    const char *name;
+    const char *protocolName;
+    std::variant<double CoreConfig::*, uint32_t CoreConfig::*,
+                 uint64_t CoreConfig::*, int CoreConfig::*>
+        member;
+    /** [lo, hi] for an integer field, (lo, hi) for the clock. */
+    double lo;
+    double hi;
+    /** Cache sets and line sizes must be powers of two. */
+    bool pow2;
+
+    bool isFloat() const
+    {
+        return std::holds_alternative<double CoreConfig::*>(member);
+    }
+    /** `value` is a value of the member's type in range. */
+    bool admits(double value) const;
+    double get(const CoreConfig &cfg) const;
+    /** Assign `value` if admitted; false, `cfg` untouched, if not. */
+    bool set(double value, CoreConfig &cfg) const;
+    /** The toCsvRow() cell: decimal, the clock in the fewest of 15-17
+     *  significant digits that round-trips exactly. */
+    std::string format(const CoreConfig &cfg) const;
+};
+
+/** The 15 architectural fields, in CSV column order. */
+const std::array<ConfigField, 15> &configFields();
 
 /** Stable hash over the architectural fields (name excluded; the
  *  clock is hashed by bit pattern). Used as cache/checkpoint

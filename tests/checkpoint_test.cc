@@ -26,6 +26,7 @@
 #include "explore/search_space.hh"
 #include "util/atomic_file.hh"
 #include "util/fault.hh"
+#include "util/metrics.hh"
 #include "util/shutdown.hh"
 
 using namespace xps;
@@ -133,7 +134,7 @@ sampleWorkloadCheckpoint()
     ckpt.anneal.result.improvementTrace = {{0, 1.0}, {7, 3.5}};
     ckpt.memo = {{"0.33|3|128|64|64|1|2|128|2|32|4|1024|4|128|12",
                   2.25},
-                 {"0.25|4|256|64|64|1|2|128|2|32|4|1024|4|128|12",
+                 {"0.5|4|256|64|64|1|2|128|2|32|4|1024|4|128|12",
                   2.5}};
     return ckpt;
 }
@@ -150,10 +151,28 @@ sampleSuiteCheckpoint()
         ws.currentIpt = 1.0 + i;
         ws.evals = 10 + static_cast<uint64_t>(i);
         ws.adoptions = static_cast<uint64_t>(i);
-        ws.memo = {{"a|b", 0.5 * i}};
+        ws.memo = {{"0.33|3|128|64|64|1|2|128|2|32|4|1024|4|128|12",
+                    0.5 * i}};
         ckpt.workloads.push_back(ws);
     }
     return ckpt;
+}
+
+/** `text` with token `index` of its first line that starts with
+ *  `tag` replaced by `token`. */
+std::string
+replaceToken(std::string text, const std::string &tag, size_t index,
+             const std::string &token)
+{
+    size_t at = text.find("\n" + tag);
+    EXPECT_NE(at, std::string::npos) << "no '" << tag << "' line";
+    if (at == std::string::npos)
+        return text;
+    for (size_t i = 0; i < index; ++i)
+        at = text.find(' ', at + 1);
+    const size_t end = text.find_first_of(" \n", at + 1);
+    text.replace(at + 1, end - at - 1, token);
+    return text;
 }
 
 /** `text` with its first line that starts with `tag` replaced by
@@ -284,6 +303,21 @@ TEST(CheckpointFormat, RejectsGarbage)
         EXPECT_FALSE(parseSuiteCheckpoint(replaceLine(stext, tag, line),
                                           testIdentity(), sc))
             << "accepted " << line;
+    }
+
+    // Fields that parse as integers but name no state a run can
+    // have: a wrapped negative, a config the simulator cannot run
+    // (config tokens: tag, name, clock, width, ..., l1_sets at 10), an
+    // impossible round, a memo key that is not a config.
+    for (const std::string &mutated :
+         {replaceToken(stext, "config ", 8, "-1"),   // sched_depth
+          replaceToken(stext, "config ", 4, "0"),    // width
+          replaceToken(stext, "config ", 10, "96"),  // l1_sets
+          replaceLine(stext, "round ", "round -5"),
+          replaceToken(stext, "memo ", 1, "a|b"),
+          replaceLine(stext, "evals ", "evals -3")}) {
+        EXPECT_FALSE(parseSuiteCheckpoint(mutated, testIdentity(), sc))
+            << mutated;
     }
 }
 
@@ -728,5 +762,30 @@ TEST(ExplorerCheckpoint, CorruptCheckpointFilesAreRecomputedNotCrashed)
     opts.checkpointDir = dir;
     const auto resumed = Explorer(miniSuite(), opts).exploreAll();
     expectResultsIdentical(resumed, golden);
+
+    // A real suite checkpoint under the run's own manifest, mutated to
+    // a state no run can resume from: each is ignored and the run
+    // recomputes, never resumes it or dies on it.
+    std::string suite_ckpt;
+    opts.checkpointWrittenHook = [&](const std::string &path) {
+        if (suite_ckpt.empty() && path == dir + "/suite.ckpt")
+            readFile(path, suite_ckpt);
+    };
+    Explorer(miniSuite(), opts).exploreAll();
+    opts.checkpointWrittenHook = nullptr;
+    ASSERT_NE(suite_ckpt.find("\nround 1\n"), std::string::npos);
+    Counter &rejected =
+        Metrics::global().counter("checkpoint.rejected");
+    for (const std::string &mutated :
+         {replaceToken(suite_ckpt, "config ", 4, "0"), // width
+          replaceLine(suite_ckpt, "round ", "round -5"),
+          replaceLine(suite_ckpt, "round ", "round 3")}) {
+        SCOPED_TRACE(mutated);
+        atomicWriteFile(dir + "/suite.ckpt", mutated);
+        const uint64_t before = rejected.get();
+        expectResultsIdentical(Explorer(miniSuite(), opts).exploreAll(),
+                               golden);
+        EXPECT_EQ(rejected.get(), before + 1);
+    }
     std::filesystem::remove_all(dir);
 }

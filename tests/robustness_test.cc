@@ -2,7 +2,8 @@
  * @file
  * Corruption-injection and cache-validation battery (DESIGN.md §7):
  * torn/garbage/stale CSV caches are recomputed, never half-parsed or
- * crashed on; the Table-4/5 cache manifests invalidate on profile or
+ * crashed on; every CoreConfig codec cleanly rejects each mutated
+ * field; the Table-4/5 cache manifests invalidate on profile or
  * configuration changes; PerfMatrix::build resumes per cell from a
  * partial file and discards foreign/torn ones; and a differential
  * TEST_P sweep proves streaming and traced simulation bit-identical
@@ -22,12 +23,15 @@
 #include "explore/checkpoint.hh"
 #include "explore/explorer.hh"
 #include "explore/supervisor.hh"
+#include "serve/protocol.hh"
 #include "sim/simulator.hh"
 #include "util/atomic_file.hh"
 #include "util/csv.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
 #include "workload/trace.hh"
+
+#include "config_codecs.hh"
 
 using namespace xps;
 
@@ -286,6 +290,76 @@ TEST(CsvRejectReason, RejectionsBumpTheirCounters)
         before + 2);
 }
 
+// --- config codecs: every mutated field is a clean reject ------------------
+
+using namespace xps::codec_test;
+
+TEST(CoreConfig, EveryCodecRejectsEveryMutatedField)
+{
+    // Each field x each codec: a value below and above the range, a
+    // sign, a fraction, trailing text and a non-power-of-two are
+    // clean rejects, never a fatal or a crash.
+    const CoreConfig base = CoreConfig::initial();
+    const std::vector<std::string> cells = base.toCsvRow();
+    const std::vector<std::string> json = protocolCells(base);
+    const std::string ckpt = suiteCheckpointOf(base);
+    const std::string config_line =
+        "config current " + join(cells, ' ');
+    const std::string memo_value = " " + formatHexDouble(1.5);
+    const std::string memo_line =
+        "memo " + base.memoKey() + memo_value;
+    for (size_t i = 0; i < configFields().size(); ++i) {
+        const ConfigField &f = configFields()[i];
+        const std::string v = cells[1 + i];
+        const std::string below =
+            jsonNumber(f.isFloat() ? f.lo : f.lo - 1);
+        const std::string above =
+            jsonNumber(f.isFloat() ? f.hi : f.hi + 1);
+        // (CSV/checkpoint/memo cell, protocol value) pairs.
+        std::vector<std::pair<std::string, std::string>> bad = {
+            {below, below},
+            {above, above},
+            {"-" + v, "-" + v},
+            {"+" + v, "\"+" + v + "\""},
+            {v + "x", "\"" + v + "x\""},
+            {"", "\"\""},
+        };
+        if (!f.isFloat())
+            bad.push_back({v + ".5", v + ".5"});
+        if (f.pow2) {
+            const std::string odd = jsonNumber(f.get(base) * 3 / 2);
+            bad.push_back({odd, odd});
+        }
+        for (const auto &[cell, value] : bad) {
+            SCOPED_TRACE(std::string(f.name) + " = '" + cell + "'");
+            std::vector<std::string> row = cells;
+            row[1 + i] = cell;
+            CoreConfig out;
+            EXPECT_FALSE(
+                CoreConfig::fromCsvRow(CoreConfig::csvHeader(), row, out));
+            EXPECT_FALSE(
+                CoreConfig::fromMemoKey(join(row, '|', 1), out));
+
+            SuiteCheckpoint sc;
+            std::string text = ckpt;
+            text.replace(text.find(config_line), config_line.size(),
+                         "config current " + join(row, ' '));
+            EXPECT_FALSE(parseSuiteCheckpoint(text, CsvManifest{}, sc));
+            text = ckpt;
+            text.replace(text.find(memo_line), memo_line.size(),
+                         "memo " + join(row, '|', 1) + memo_value);
+            EXPECT_FALSE(parseSuiteCheckpoint(text, CsvManifest{}, sc));
+
+            std::vector<std::string> obj = json;
+            obj[i] = value;
+            serve::Request req;
+            std::string error;
+            EXPECT_FALSE(serve::parseRequest(whatifOf(obj), req, error));
+            EXPECT_FALSE(error.empty());
+        }
+    }
+}
+
 // --- table4/table5 cache invalidation --------------------------------------
 
 namespace
@@ -348,7 +422,18 @@ TEST(ExperimentCache, Table4RoundTripsAndInvalidates)
          std::vector<std::pair<std::string, std::string>>{
              {"gzip,0.33,3,128,", "gzip,0.33,3,5x2,"},
              {",rob,", ",rab,"},
-             {"gzip,0.33,3,", "gzip,0.33,9,"}}) {
+             {"gzip,0.33,3,", "gzip,0.33,9,"},
+             // Geometry the cache model cannot build: a set count that
+             // is no power of two (yet fits its clock), a zero line,
+             // zero ways, zero sets.
+             {"gzip,0.33,3,128,64,64,1,2,256,",
+              "gzip,0.33,3,128,64,64,1,2,192,"},
+             {"gzip,0.33,3,128,64,64,1,2,256,2,32,",
+              "gzip,0.33,3,128,64,64,1,2,256,2,0,"},
+             {"gzip,0.33,3,128,64,64,1,2,256,2,",
+              "gzip,0.33,3,128,64,64,1,2,256,0,"},
+             {"gzip,0.33,3,128,64,64,1,2,256,",
+              "gzip,0.33,3,128,64,64,1,2,0,"}}) {
         atomicWriteFile(table4CachePath(), mutate(full, from, to));
         EXPECT_FALSE(loadTable4Cache(suite, loaded)) << from << " -> " << to;
     }
@@ -663,7 +748,7 @@ TEST(CheckpointFuzz, MutatedCheckpointNeverCrashes)
     ckpt.round = 1;
     ckpt.anneal.current = CoreConfig::initial();
     ckpt.anneal.result.best = CoreConfig::initial();
-    ckpt.memo = {{"x|y", 1.5}};
+    ckpt.memo = {{"0.33|3|128|64|64|1|2|128|2|32|4|1024|4|128|12", 1.5}};
     const std::string text =
         serializeWorkloadCheckpoint(ckpt, identity);
 

@@ -51,6 +51,7 @@
 #include "explore/supervisor.hh"
 #include "obs/json.hh"
 #include "serve/client.hh"
+#include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "util/fault.hh"
 #include "util/metrics.hh"
@@ -332,6 +333,24 @@ TEST(ServeProtocol, PingStatsAndClosedWorldErrors)
     EXPECT_NE(repeat.find("'mcf' is repeated"), std::string::npos)
         << repeat;
 
+    // Geometry the cache model cannot build fits its clock, yet is
+    // infeasible at parse time: never journaled, never forked.
+    const double accepted =
+        numField(rpc(d.sock, "{\"op\":\"stats\"}"), "accepted", -1);
+    for (const char *unbuildable : {
+             "{\"op\":\"whatif\",\"workloads\":[\"gzip\"],"
+             "\"instrs\":3000,\"config\":{\"l1_sets\":96}}",
+             "{\"op\":\"whatif\",\"workloads\":[\"gzip\"],"
+             "\"instrs\":3000,\"config\":{\"l1_line_bytes\":48}}",
+         }) {
+        const std::string resp = rpc(d.sock, unbuildable);
+        EXPECT_EQ(statusOf(resp), "error") << resp;
+        EXPECT_NE(resp.find("infeasible config"), std::string::npos)
+            << resp;
+    }
+    EXPECT_EQ(numField(rpc(d.sock, "{\"op\":\"stats\"}"), "accepted", -1),
+              accepted);
+
     // Still alive and serving after all that abuse.
     EXPECT_EQ(statusOf(rpc(d.sock, "{\"op\":\"ping\"}")), "ok");
     d.stopGracefully();
@@ -339,6 +358,20 @@ TEST(ServeProtocol, PingStatsAndClosedWorldErrors)
     EXPECT_FALSE(fs::exists(d.sock));
     EXPECT_FALSE(fs::exists(d.sock + ".pid"));
     fs::remove_all(dir);
+}
+
+TEST(ServeProtocol, RejectsConfigsBeyondTheFieldRanges)
+{
+    // A 2^24-set, 64-way L2 fits a 99 ns clock, but each worker would
+    // allocate 24 GiB for it: the field ranges reject it at parse.
+    serve::Request req;
+    std::string error;
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"op\":\"whatif\",\"workloads\":[\"gzip\"],\"config\":{"
+        "\"clock_ns\":99,\"l2_sets\":16777216,\"l2_assoc\":64,"
+        "\"l2_line_bytes\":64}}",
+        req, error));
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
 }
 
 // --- store: repeat queries hit the content-addressed cache -----------------

@@ -1,22 +1,31 @@
 /**
  * @file
  * Unit and property tests for src/sim: configuration validation and
- * derived parameters, the cache hierarchy (LRU, inclusion, fill
- * bandwidth), and the out-of-order core's first-order behaviours —
- * the monotonicities the design-space exploration depends on.
+ * derived parameters, every codec of the configuration field table
+ * (round trip and pinned bytes), the cache hierarchy (LRU,
+ * inclusion, fill bandwidth), and the out-of-order core's first-order
+ * behaviours — the monotonicities the design-space exploration
+ * depends on.
  */
 
 #include <gtest/gtest.h>
 
+#include "explore/checkpoint.hh"
+#include "explore/search_space.hh"
+#include "serve/protocol.hh"
 #include "sim/area_power.hh"
 #include "sim/batch.hh"
 #include "sim/cache.hh"
 #include "sim/config.hh"
 #include "sim/ooo_core.hh"
 #include "sim/simulator.hh"
+#include "util/csv.hh"
+#include "util/rng.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 #include "workload/trace.hh"
+
+#include "config_codecs.hh"
 
 using namespace xps;
 
@@ -141,12 +150,82 @@ TEST(CoreConfig, CheckFitsDetectsL2SmallerThanL1)
 
 TEST(CoreConfig, CsvRoundTrip)
 {
-    const CoreConfig cfg = referenceConfig();
-    const auto row = cfg.toCsvRow();
-    CoreConfig back;
-    ASSERT_TRUE(CoreConfig::fromCsvRow(CoreConfig::csvHeader(), row, back));
-    EXPECT_TRUE(back.sameArch(cfg));
-    EXPECT_EQ(back.name, cfg.name);
+    // Every codec of the field table: the CSV row, the checkpoint
+    // `config` line, the memo key and a protocol config object. Each
+    // decodes to the same architecture and fingerprint.
+    using namespace codec_test;
+    std::vector<CoreConfig> configs{CoreConfig::initial(),
+                                    referenceConfig()};
+    const SearchSpace space(timing());
+    Rng rng(2008);
+    for (int i = 0; i < 200; ++i)
+        configs.push_back(space.randomConfig(rng));
+    CsvDoc table4;
+    ASSERT_TRUE(readCsv(XPS_TABLE4_CSV, table4));
+    ASSERT_EQ(table4.rows.size(), 11u);
+    for (const auto &row : table4.rows) {
+        CoreConfig cfg;
+        ASSERT_TRUE(CoreConfig::fromCsvRow(table4.header, row, cfg))
+            << join(row, ',');
+        EXPECT_EQ(cfg.toCsvRow(), row);
+        configs.push_back(cfg);
+    }
+
+    for (const CoreConfig &cfg : configs) {
+        SCOPED_TRACE(join(cfg.toCsvRow(), ','));
+        auto same = [&](const CoreConfig &back) {
+            EXPECT_TRUE(back.sameArch(cfg));
+            EXPECT_EQ(configFingerprint(back), configFingerprint(cfg));
+        };
+        CoreConfig back;
+        ASSERT_TRUE(CoreConfig::fromCsvRow(CoreConfig::csvHeader(),
+                                           cfg.toCsvRow(), back));
+        same(back);
+        EXPECT_EQ(back.name, cfg.name);
+
+        SuiteCheckpoint sc;
+        ASSERT_TRUE(parseSuiteCheckpoint(suiteCheckpointOf(cfg),
+                                         CsvManifest{}, sc));
+        same(sc.workloads[0].current);
+        EXPECT_EQ(sc.workloads[0].current.name, cfg.name);
+        EXPECT_EQ(sc.workloads[0].memo[0].first, cfg.memoKey());
+
+        ASSERT_TRUE(CoreConfig::fromMemoKey(cfg.memoKey(), back));
+        same(back);
+        EXPECT_EQ(cfg.memoKey(), join(cfg.toCsvRow(), '|', 1));
+
+        serve::Request req;
+        std::string error;
+        ASSERT_TRUE(serve::parseRequest(whatifOf(protocolCells(cfg)),
+                                        req, error))
+            << error;
+        same(req.configs.at(0));
+    }
+
+    // The memo key is exact for any clock: two clocks equal to 6
+    // significant digits get distinct keys.
+    CoreConfig a = CoreConfig::initial();
+    CoreConfig b = a;
+    a.clockNs = 0.3330001;
+    b.clockNs = 0.3330002;
+    EXPECT_NE(a.memoKey(), b.memoKey());
+}
+
+TEST(CoreConfig, EncodingsArePinned)
+{
+    // Committed results, store keys and the benchmark digests depend
+    // on these bytes and values.
+    using codec_test::join;
+    EXPECT_EQ(join(CoreConfig::csvHeader(), ','),
+              "name,clock_ns,width,rob,iq,lsq,sched_depth,lsq_depth,"
+              "l1_sets,l1_assoc,l1_line,l1_cycles,l2_sets,l2_assoc,"
+              "l2_line,l2_cycles");
+    EXPECT_EQ(join(CoreConfig::initial().toCsvRow(), ','),
+              "initial,0.33,3,128,64,64,1,2,256,2,32,4,1024,4,128,12");
+    EXPECT_EQ(CoreConfig::initial().memoKey(),
+              "0.33|3|128|64|64|1|2|256|2|32|4|1024|4|128|12");
+    EXPECT_EQ(configFingerprint(CoreConfig::initial()),
+              0xd8fe60113789f1b8ULL);
 }
 
 TEST(CoreConfig, SameArchIgnoresName)
