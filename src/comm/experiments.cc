@@ -1,8 +1,5 @@
 #include "comm/experiments.hh"
 
-#include <cstdio>
-#include <sstream>
-
 #include "explore/explorer.hh"
 #include "util/atomic_file.hh"
 #include "util/env.hh"
@@ -39,67 +36,23 @@ table5CachePath()
 namespace
 {
 
-std::string
-hex64(uint64_t v)
+/** The exploration behind Table 4; its identity keys the cache. */
+ExplorerOptions
+pipelineOptions()
 {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string
-profilesKey(const std::vector<WorkloadProfile> &suite)
-{
-    std::ostringstream out;
-    for (size_t i = 0; i < suite.size(); ++i) {
-        out << (i ? ";" : "") << suite[i].name << ':'
-            << hex64(profileFingerprint(suite[i]));
-    }
-    return out.str();
-}
-
-std::string
-configsKey(const std::vector<CoreConfig> &configs)
-{
-    std::ostringstream out;
-    for (size_t i = 0; i < configs.size(); ++i)
-        out << (i ? ";" : "") << hex64(configFingerprint(configs[i]));
-    return out.str();
+    const Budget &budget = Budget::get();
+    ExplorerOptions opts;
+    opts.evalInstrs = budget.evalInstrs;
+    opts.saIters = budget.saIters;
+    opts.threads = budget.threads;
+    opts.finalEvalInstrs = budget.finalInstrs;
+    opts.checkpointEvery = budget.checkpointEvery;
+    opts.supervised = budget.supervise;
+    opts.supervisorOpts = SupervisorOptions::fromEnv();
+    return opts;
 }
 
 } // namespace
-
-CsvManifest
-table4Manifest(const std::vector<WorkloadProfile> &suite)
-{
-    // Exactly the knobs that shape the exploration result. The
-    // checkpoint cadence is deliberately absent: resume is
-    // bit-identical, so XPS_CHECKPOINT_EVERY never stales a cache.
-    const Budget &budget = Budget::get();
-    CsvManifest m;
-    m.set("kind", std::string("table4-configs"));
-    m.set("schema", std::string("1"));
-    m.set("eval_instrs", budget.evalInstrs);
-    m.set("sa_iters", budget.saIters);
-    m.set("final_instrs", budget.finalInstrs);
-    m.set("profiles", profilesKey(suite));
-    return m;
-}
-
-CsvManifest
-table5Manifest(const std::vector<WorkloadProfile> &suite,
-               const std::vector<CoreConfig> &configs)
-{
-    const Budget &budget = Budget::get();
-    CsvManifest m;
-    m.set("kind", std::string("table5-matrix"));
-    m.set("schema", std::string("1"));
-    m.set("final_instrs", budget.finalInstrs);
-    m.set("profiles", profilesKey(suite));
-    m.set("configs", configsKey(configs));
-    return m;
-}
 
 bool
 loadTable4Cache(const std::vector<WorkloadProfile> &suite,
@@ -107,7 +60,7 @@ loadTable4Cache(const std::vector<WorkloadProfile> &suite,
 {
     CsvDoc doc;
     if (!readCsvValidated(table4CachePath(), doc,
-                          table4Manifest(suite)))
+                          Explorer::identityOf(suite, pipelineOptions())))
         return false;
     if (doc.rows.size() != suite.size())
         return false;
@@ -132,7 +85,8 @@ storeTable4Cache(const std::vector<WorkloadProfile> &suite,
     doc.header = CoreConfig::csvHeader();
     for (const auto &cfg : configs)
         doc.rows.push_back(cfg.toCsvRow());
-    writeCsv(table4CachePath(), doc, table4Manifest(suite));
+    writeCsv(table4CachePath(), doc,
+             Explorer::identityOf(suite, pipelineOptions()));
 }
 
 bool
@@ -141,8 +95,9 @@ loadTable5Cache(const std::vector<WorkloadProfile> &suite,
                 PerfMatrix &matrix)
 {
     CsvDoc doc;
-    if (!readCsvValidated(table5CachePath(), doc,
-                          table5Manifest(suite, configs)))
+    if (!readCsvValidated(
+            table5CachePath(), doc,
+            PerfMatrix::identity(suite, configs, Budget::get().finalInstrs)))
         return false;
     PerfMatrix loaded;
     if (doc.rows.size() != suite.size() ||
@@ -166,7 +121,8 @@ storeTable5Cache(const std::vector<WorkloadProfile> &suite,
     for (const auto &name : matrix.names())
         doc.header.push_back(name);
     doc.rows = matrix.toCsvRows();
-    writeCsv(table5CachePath(), doc, table5Manifest(suite, configs));
+    writeCsv(table5CachePath(), doc,
+             PerfMatrix::identity(suite, configs, Budget::get().finalInstrs));
 }
 
 namespace
@@ -190,15 +146,7 @@ computeContext()
                ctx.suite.size(),
                static_cast<unsigned long long>(budget.evalInstrs));
         ScopedTimer timer("pipeline.explore_seconds");
-        ExplorerOptions opts;
-        opts.evalInstrs = budget.evalInstrs;
-        opts.saIters = budget.saIters;
-        opts.threads = budget.threads;
-        opts.finalEvalInstrs = budget.finalInstrs;
-        opts.checkpointEvery = budget.checkpointEvery;
-        opts.supervised = budget.supervise;
-        opts.supervisorOpts = SupervisorOptions::fromEnv();
-        Explorer explorer(ctx.suite, opts);
+        Explorer explorer(ctx.suite, pipelineOptions());
         const auto results = explorer.exploreAll();
         for (const auto &r : results)
             ctx.configs.push_back(r.best);

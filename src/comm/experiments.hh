@@ -8,9 +8,12 @@
  * independently, in any order, and the whole suite costs one
  * exploration (DESIGN.md §5.5).
  *
- * The cache files carry identity manifests (DESIGN.md §7): a cache
- * written under different budget knobs or different workload
- * profiles, or torn by a crash, is rejected and recomputed — never
+ * Each cache file carries the identity of its result (DESIGN.md
+ * §7.3): Table 4 the exploration's (Explorer::identityOf() of the
+ * pipeline's options, so budget, walk knobs and profiles), Table 5
+ * the matrix's (PerfMatrix::identity() of the suite, the Table 4
+ * configurations and the final length). A cache written under other
+ * inputs, or torn by a crash, is rejected and recomputed — never
  * silently reused. Long recomputations are themselves crash-safe:
  * the exploration checkpoints per workload (XPS_CHECKPOINT_EVERY)
  * and its final matrix resumes per cell.
@@ -51,14 +54,6 @@ const ExperimentContext &experimentContext();
 /** Paths of the cache files under the current results dir. */
 std::string table4CachePath();
 std::string table5CachePath();
-
-/** Identity manifests the caches are validated against: the Budget
- *  knobs that shape the result plus every profile's fingerprint (and,
- *  for Table 5, every configuration's fingerprint). A change in any
- *  of them makes the cached file stale. */
-CsvManifest table4Manifest(const std::vector<WorkloadProfile> &suite);
-CsvManifest table5Manifest(const std::vector<WorkloadProfile> &suite,
-                           const std::vector<CoreConfig> &configs);
 
 /** Validated cache accessors (used by experimentContext(); exposed
  *  for the robustness tests). The loaders return false — and leave

@@ -116,9 +116,9 @@ loadPartialMatrix(const std::string &path, const CsvManifest &identity,
 } // namespace
 
 CsvManifest
-PerfMatrix::partialIdentity(const std::vector<WorkloadProfile> &suite,
-                            const std::vector<CoreConfig> &configs,
-                            uint64_t instrs)
+PerfMatrix::identity(const std::vector<WorkloadProfile> &suite,
+                     const std::vector<CoreConfig> &configs,
+                     uint64_t instrs)
 {
     CsvManifest m;
     m.set("kind", std::string("perf-matrix-partial"));
@@ -178,7 +178,7 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
     for (const auto &p : suite)
         names.push_back(p.name);
 
-    const CsvManifest identity = partialIdentity(suite, configs, instrs);
+    const CsvManifest identity = PerfMatrix::identity(suite, configs, instrs);
     // Columns of one architecture share their cells: simulate() reads
     // no CoreConfig field outside sameArch(), so each row simulates
     // every distinct architecture once, in the column arch[c] of its

@@ -102,12 +102,13 @@ class PerfMatrix
     size_t bestConfigFor(size_t w,
                          const std::vector<size_t> &columns) const;
 
-    /** Identity manifest embedded in the partial (crash-resume) file
-     *  of a build over these inputs — exposed for the robustness
-     *  tests, which craft stale/torn partial files against it. */
-    static CsvManifest partialIdentity(
-        const std::vector<WorkloadProfile> &suite,
-        const std::vector<CoreConfig> &configs, uint64_t instrs);
+    /** The identity of the matrix of `suite` on `configs` at
+     *  `instrs` per cell (DESIGN.md §7.3). It keys a build's partial
+     *  file and row payloads, the Table 5 cache and xps-serve's
+     *  matrix entries. */
+    static CsvManifest identity(const std::vector<WorkloadProfile> &suite,
+                                const std::vector<CoreConfig> &configs,
+                                uint64_t instrs);
 
     /** Serialize / deserialize for result caching. fromCsv() is
      *  false, with `out` untouched, on a shape or row-name mismatch

@@ -43,10 +43,18 @@ constexpr uint64_t kSurrogateCharInstrs = 50000;
 
 } // namespace
 
+Explorer::WalkKnobs
+Explorer::WalkKnobs::fromEnv()
+{
+    return {envUInt("XPS_BATCH", 1), envUInt("XPS_SURROGATE", 0),
+            envUInt("XPS_REDUCE_WORKLOADS", 0)};
+}
+
 Explorer::Explorer(std::vector<WorkloadProfile> suite,
                    ExplorerOptions opts, ExploreBounds bounds)
     : suite_(std::move(suite)), opts_(opts), timing_(),
-      space_(timing_, bounds)
+      space_(timing_, bounds), walk_(WalkKnobs::fromEnv()),
+      identity_(identityOf(suite_, opts_, bounds))
 {
     if (suite_.empty())
         fatal("Explorer: empty workload suite");
@@ -90,45 +98,46 @@ Explorer::reduceWorkloads(const std::vector<WorkloadProfile> &suite,
 }
 
 CsvManifest
-Explorer::checkpointIdentity() const
+Explorer::identityOf(const std::vector<WorkloadProfile> &suite,
+                     const ExplorerOptions &opts,
+                     const ExploreBounds &bounds)
 {
     CsvManifest m;
     m.set("schema", std::string("3"));
-    m.set("eval_instrs", opts_.evalInstrs);
-    m.set("sa_iters", opts_.saIters);
-    m.set("rounds", static_cast<uint64_t>(opts_.rounds));
-    m.set("seed", opts_.seed);
-    m.set("final_eval_instrs", opts_.finalEvalInstrs);
+    m.set("eval_instrs", opts.evalInstrs);
+    m.set("sa_iters", opts.saIters);
+    m.set("rounds", static_cast<uint64_t>(opts.rounds));
+    m.set("seed", opts.seed);
+    m.set("final_eval_instrs", opts.finalEvalInstrs);
     // The frontier width changes the walk's trajectory (multiple-try
-    // proposals), so scalar and batched runs must not resume each
-    // other's checkpoints. Likewise the surrogate (its vetoes change
-    // which proposals are simulated) and the workload-reduction
-    // mapping (it changes which workloads anneal at all).
-    m.set("xps_batch", envUInt("XPS_BATCH", 1));
-    m.set("xps_surrogate", envUInt("XPS_SURROGATE", 0));
-    m.set("xps_reduce_workloads", envUInt("XPS_REDUCE_WORKLOADS", 0));
-    m.set("adoption_margin", formatHexDouble(opts_.adoptionMargin));
+    // proposals), the surrogate which proposals are simulated, and the
+    // workload reduction which workloads anneal at all: runs under
+    // other knobs share no checkpoint, cache or store entry.
+    const WalkKnobs walk = WalkKnobs::fromEnv();
+    m.set("xps_batch", walk.batchWidth);
+    m.set("xps_surrogate", walk.surrogate);
+    m.set("xps_reduce_workloads", walk.reduceWorkloads);
+    m.set("adoption_margin", formatHexDouble(opts.adoptionMargin));
     m.set("gross_adoption_margin",
-          formatHexDouble(opts_.grossAdoptionMargin));
+          formatHexDouble(opts.grossAdoptionMargin));
     const AnnealParams anneal; // schedule shape is part of identity
     m.set("anneal_initial_temp", formatHexDouble(anneal.initialTemp));
     m.set("anneal_final_temp", formatHexDouble(anneal.finalTemp));
     m.set("anneal_rollback", formatHexDouble(anneal.rollbackFraction));
-    const ExploreBounds &b = space_.bounds();
-    std::ostringstream bounds;
-    bounds << formatHexDouble(b.minClockNs) << ';'
-           << formatHexDouble(b.maxClockNs) << ';'
-           << b.maxL1CapacityBytes << ';' << b.maxL2CapacityBytes
-           << ';' << b.maxSchedDepth << ';' << b.maxLsqDepth << ';'
-           << b.maxL1Cycles << ';' << b.maxL2Cycles;
-    m.set("bounds", bounds.str());
+    std::ostringstream bound;
+    bound << formatHexDouble(bounds.minClockNs) << ';'
+          << formatHexDouble(bounds.maxClockNs) << ';'
+          << bounds.maxL1CapacityBytes << ';' << bounds.maxL2CapacityBytes
+          << ';' << bounds.maxSchedDepth << ';' << bounds.maxLsqDepth
+          << ';' << bounds.maxL1Cycles << ';' << bounds.maxL2Cycles;
+    m.set("bounds", bound.str());
     std::ostringstream profiles;
-    for (size_t w = 0; w < suite_.size(); ++w) {
+    for (size_t w = 0; w < suite.size(); ++w) {
         char fp[32];
         std::snprintf(fp, sizeof(fp), "%016llx",
                       static_cast<unsigned long long>(
-                          profileFingerprint(suite_[w])));
-        profiles << (w ? ";" : "") << suite_[w].name << ':' << fp;
+                          profileFingerprint(suite[w])));
+        profiles << (w ? ";" : "") << suite[w].name << ':' << fp;
     }
     m.set("profiles", profiles.str());
     return m;
@@ -172,7 +181,7 @@ Explorer::annealWorkloadRound(
     // confidently sure the Metropolis rule would reject is vetoed
     // without being simulated. Its state round-trips through
     // checkpoints so resumed runs veto identically.
-    const bool surrogate_on = envUInt("XPS_SURROGATE", 0) != 0;
+    const bool surrogate_on = walk_.surrogate != 0;
     Counter &ctr_sur_obs = metrics.counter("surrogate.observations");
     Counter &ctr_sur_pred = metrics.counter("surrogate.predictions");
     Counter &ctr_sur_veto = metrics.counter("surrogate.screened");
@@ -232,8 +241,8 @@ Explorer::annealWorkloadRound(
     // through the batched simulator (shared decode + warmup,
     // successive-halving screen — DESIGN.md §11). The walk this
     // produces is a multiple-try variant of the scalar one, which is
-    // why the width is part of the checkpoint identity.
-    const uint64_t batch_width = envUInt("XPS_BATCH", 1);
+    // why the width is part of the exploration's identity.
+    const uint64_t batch_width = walk_.batchWidth;
     const uint32_t frontier_width = static_cast<uint32_t>(
         std::max<uint64_t>(1, batch_width));
     std::unique_ptr<BatchSimulator> batch;
@@ -393,7 +402,7 @@ Explorer::exploreAll()
     const size_t n = suite_.size();
     const bool ckpt = opts_.checkpointEvery > 0;
     // Validates checkpoints and every round task's payload.
-    const CsvManifest identity = checkpointIdentity();
+    const CsvManifest &identity = identity_;
     Metrics &metrics = Metrics::global();
     supervisorReport_ = SupervisorReport{};
     obs::setProcessName(opts_.supervised ? "explorer/supervisor"
@@ -439,7 +448,7 @@ Explorer::exploreAll()
     std::vector<size_t> rep(n);
     for (size_t w = 0; w < n; ++w)
         rep[w] = w;
-    const uint64_t reduce_k = envUInt("XPS_REDUCE_WORKLOADS", 0);
+    const uint64_t reduce_k = walk_.reduceWorkloads;
     if (reduce_k > 0 && reduce_k < n) {
         obs::ScopedSpan reduce_span("explore.reduce", "explore", [&] {
             return obs::Args()

@@ -27,9 +27,9 @@
  * barrier file are written atomically under `checkpointDir`, the
  * final matrix appends to a partial file there, and a restarted
  * Explorer resumes from them transparently, producing results
- * bit-identical to an uninterrupted run. Checkpoints carry an
- * identity manifest (budget, seeds, profile fingerprints, bounds);
- * stale or corrupted checkpoint files are ignored, never half-used.
+ * bit-identical to an uninterrupted run. Checkpoints carry the
+ * exploration's identity (identityOf()); stale or corrupted
+ * checkpoint files are ignored, never half-used.
  */
 
 #ifndef XPS_EXPLORE_EXPLORER_HH
@@ -145,9 +145,18 @@ class Explorer
     static std::vector<size_t> reduceWorkloads(
         const std::vector<WorkloadProfile> &suite, size_t k);
 
-    /** The identity manifest embedded in this exploration's
-     *  checkpoints (budget, seeds, profile fingerprints, bounds). */
-    CsvManifest checkpointIdentity() const;
+    /** The identity of the exploration of `suite` under `opts`,
+     *  `bounds` and the walk knobs: every input its results depend
+     *  on, and not threads, backend or checkpoint cadence (DESIGN.md
+     *  §7.3). It keys the explorer's checkpoints and payloads, the
+     *  Table 4 cache and xps-serve's explore entries. */
+    static CsvManifest identityOf(
+        const std::vector<WorkloadProfile> &suite,
+        const ExplorerOptions &opts,
+        const ExploreBounds &bounds = ExploreBounds{});
+
+    /** identityOf() this exploration, taken at construction. */
+    const CsvManifest &identity() const { return identity_; }
 
     /** Supervision outcome of the last exploreAll(), on either
      *  backend: one record per round and final-matrix task, plus
@@ -169,6 +178,15 @@ class Explorer
     }
 
   private:
+    /** The environment knobs that change the walk, read only by
+     *  fromEnv(): XPS_BATCH (frontier width), XPS_SURROGATE
+     *  (screening) and XPS_REDUCE_WORKLOADS (which workloads anneal). */
+    struct WalkKnobs
+    {
+        uint64_t batchWidth, surrogate, reduceWorkloads;
+        static WalkKnobs fromEnv();
+    };
+
     std::string workloadCheckpointPath(size_t w) const;
     std::string suiteCheckpointPath() const;
 
@@ -185,6 +203,8 @@ class Explorer
     ExplorerOptions opts_;
     UnitTiming timing_;
     SearchSpace space_;
+    WalkKnobs walk_;
+    CsvManifest identity_;
     SupervisorReport supervisorReport_;
     PerfMatrix crossMatrix_;
     std::vector<std::string> crossMissingRows_;

@@ -1,6 +1,7 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -237,6 +238,17 @@ Value::numberOr(const std::string &key, double def) const
 {
     const Value *v = find(key);
     return (v && v->type == Type::Number) ? v->number : def;
+}
+
+bool
+Value::wholeNumber(uint64_t &out) const
+{
+    constexpr double kMaxExact = 9007199254740992.0; // 2^53
+    if (type != Type::Number || !(number >= 0 && number <= kMaxExact) ||
+        number != std::floor(number))
+        return false;
+    out = static_cast<uint64_t>(number);
+    return true;
 }
 
 std::string

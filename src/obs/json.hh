@@ -12,6 +12,7 @@
 #ifndef XPS_OBS_JSON_HH
 #define XPS_OBS_JSON_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,6 +54,11 @@ struct Value
 
     /** Member `key` as a number; `def` when absent or not numeric. */
     double numberOr(const std::string &key, double def) const;
+
+    /** This value as a whole number in [0, 2^53], the integers a
+     *  double holds exactly; false for anything else (a string, a
+     *  fraction, a negative, an overflow such as 1e30 or 1e999). */
+    bool wholeNumber(uint64_t &out) const;
 
     /** Member `key` as a string; `def` when absent or not a string. */
     std::string stringOr(const std::string &key,

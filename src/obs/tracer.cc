@@ -15,6 +15,7 @@
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/rng.hh"
 
 namespace xps
 {
@@ -67,18 +68,6 @@ ridState()
 {
     static RidState *r = new RidState();
     return *r;
-}
-
-/** FNV-1a 64-bit: stable flow ids from request-id strings. */
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
 }
 
 void

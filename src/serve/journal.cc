@@ -65,16 +65,17 @@ Journal::recover()
             continue;
         std::string content;
         obs::json::Value v;
+        const obs::json::Value *seq = nullptr;
         JournalRecord rec;
         if (!readFile(entry.path().string(), content) ||
             !obs::json::parse(content, v) || !v.isObject() ||
-            (rec.key = v.stringOr("key", "")).empty()) {
+            (rec.key = v.stringOr("key", "")).empty() ||
+            !(seq = v.find("seq")) || !seq->wholeNumber(rec.seq)) {
             warn("journal: removing torn record %s", name.c_str());
             fs::remove(entry.path(), ec);
             metrics.counter("serve.journal_torn").add();
             continue;
         }
-        rec.seq = static_cast<uint64_t>(v.numberOr("seq", 0));
         rec.request = v.stringOr("request", "");
         seq_ = std::max(seq_, rec.seq + 1);
         live.push_back(std::move(rec));

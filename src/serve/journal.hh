@@ -9,8 +9,10 @@
  *
  * On boot, recover() sweeps orphaned staging temps left by a dead
  * writer (mirroring atomicWriteFile's own sweep), skips-and-removes
- * torn records (a crash mid-rename can leave pre-v1 garbage; atomic
- * writes make this near-impossible, but the reader never trusts it),
+ * torn records — not JSON, no key, or a `seq` that is not a whole
+ * number in range (a crash mid-rename can leave pre-v1 garbage;
+ * atomic writes make this near-impossible, but the reader never
+ * trusts it),
  * and returns the rest ordered by admission sequence. The daemon
  * re-enqueues each one whose result is not in the store yet (a
  * worker publishes before it reports back), so a SIGKILL'd daemon

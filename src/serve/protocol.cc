@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "comm/perf_matrix.hh"
 #include "obs/json.hh"
 #include "timing/unit_timing.hh"
 #include "workload/trace.hh"
@@ -17,15 +18,6 @@ namespace
 {
 
 using obs::json::Value;
-
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (const char c : s)
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    return h;
-}
 
 bool
 fail(std::string &error, const std::string &why)
@@ -200,23 +192,42 @@ parseRequest(const std::string &line, Request &req, std::string &error)
     return true;
 }
 
+ExplorerOptions
+exploreOptions(const Request &req)
+{
+    ExplorerOptions opts;
+    opts.evalInstrs = req.instrs;
+    opts.saIters = req.saIters;
+    opts.rounds = req.rounds;
+    opts.seed = req.seed;
+    opts.threads = 1;
+    opts.finalEvalInstrs = 2 * req.instrs;
+    return opts;
+}
+
 CsvManifest
 requestIdentity(const Request &req)
 {
     CsvManifest m;
     m.set("schema", kSchema);
     m.set("op", opName(req.op));
-    m.set("instrs", req.instrs);
-    for (const WorkloadProfile &p : req.workloads)
-        m.set("profile." + p.name, profileFingerprint(p));
-    for (size_t i = 0; i < req.configs.size(); ++i)
-        m.set("config." + std::to_string(i),
-              configFingerprint(req.configs[i]));
-    if (req.op == Request::Op::Explore) {
-        m.set("sa_iters", req.saIters);
-        m.set("rounds", static_cast<uint64_t>(req.rounds));
-        m.set("seed", req.seed);
+    if (req.op == Request::Op::Whatif) {
+        m.set("instrs", req.instrs);
+        for (const WorkloadProfile &p : req.workloads)
+            m.set("profile." + p.name, profileFingerprint(p));
+        m.set("config.0", configFingerprint(req.configs[0]));
+        return m;
     }
+    // The result's own identity, every key under the op's prefix, so
+    // its keys (a "schema" among them) never overwrite the two above.
+    const CsvManifest result =
+        req.op == Request::Op::Matrix
+            ? PerfMatrix::identity(req.workloads, req.configs,
+                                   req.instrs)
+            : Explorer::identityOf(req.workloads, exploreOptions(req));
+    const std::string prefix = std::string(opName(req.op)) + ".";
+    for (const auto &[key, value] : result.entries)
+        m.set(prefix + key, value);
     return m;
 }
 

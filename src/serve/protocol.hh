@@ -13,10 +13,11 @@
  * untrusted and must never fatal() the daemon or a worker.
  *
  * Every compute request canonicalizes to a CsvManifest identity
- * (schema version, op, budget knobs, profile and config
- * fingerprints). That manifest is simultaneously the content-address
- * of the result store entry, the validation identity of the stored
- * CSV, and the coalescing key for duplicate in-flight requests.
+ * (schema version, op, then a whatif's length and fingerprints, or
+ * the identity of the matrix or exploration the job computes). That
+ * manifest is simultaneously the content-address of the result store
+ * entry, the validation identity of the stored CSV, and the
+ * coalescing key for duplicate in-flight requests.
  */
 
 #ifndef XPS_SERVE_PROTOCOL_HH
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "explore/explorer.hh"
 #include "sim/config.hh"
 #include "util/csv.hh"
 #include "workload/profile.hh"
@@ -91,6 +93,10 @@ bool parseRequest(const std::string &line, Request &req,
 /** Canonical identity of a compute request's result: the manifest
  *  stored in (and validated against) the result-store CSV. */
 CsvManifest requestIdentity(const Request &req);
+
+/** The options an explore job's Explorer runs under, bar checkpoint
+ *  cadence and directory: requestIdentity() keys it by their identity. */
+ExplorerOptions exploreOptions(const Request &req);
 
 /** Stable 64-bit content key of an identity, as 16 hex digits —
  *  the result-store filename and the journal/coalescing key. */

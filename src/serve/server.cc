@@ -122,13 +122,7 @@ CsvDoc
 runExplore(const Request &req, const ServerOptions &opts,
            const std::string &ckptDir)
 {
-    ExplorerOptions eopts;
-    eopts.evalInstrs = req.instrs;
-    eopts.saIters = req.saIters;
-    eopts.rounds = req.rounds;
-    eopts.seed = req.seed;
-    eopts.threads = 1;
-    eopts.finalEvalInstrs = 2 * req.instrs;
+    ExplorerOptions eopts = exploreOptions(req);
     // The journal makes a killed daemon re-run this job; the annealer
     // checkpoints make the re-run resume bit-identically instead of
     // paying the whole exploration again.

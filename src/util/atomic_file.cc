@@ -18,6 +18,7 @@
 #include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/rng.hh"
 
 namespace xps
 {
@@ -58,10 +59,7 @@ stagingNonce()
         return (static_cast<uint64_t>(rd()) << 32) ^ rd() ^
                static_cast<uint64_t>(::getpid());
     }();
-    uint64_t x = seed + counter.fetch_add(0x9e3779b97f4a7c15ULL);
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<uint32_t>(x ^ (x >> 31));
+    return static_cast<uint32_t>(mix64(seed + counter.fetch_add(1)));
 }
 
 } // namespace

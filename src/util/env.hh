@@ -11,9 +11,9 @@
  *                        scores them in one batched pass over the
  *                        shared trace with successive-halving
  *                        screening; 1 (the default) is the scalar
- *                        walk. The width is part of the checkpoint
- *                        identity — scalar and batched runs do not
- *                        resume each other's checkpoints
+ *                        walk. The width is part of the exploration
+ *                        identity — scalar and batched runs share no
+ *                        checkpoint, Table 4 cache or store entry
  *   XPS_SURROGATE        1 = surrogate-guided screening
  *                        (explore/predictor.hh, DESIGN.md §12): an
  *                        online ridge-regression model trained on
@@ -21,7 +21,7 @@
  *                        proposals before they reach the simulator.
  *                        Vetoes only skip work — every adopted score
  *                        still comes from a full-fidelity simulation.
- *                        Part of the checkpoint identity; the model
+ *                        Part of the exploration identity; the model
  *                        state rides in the checkpoint so resumed
  *                        runs screen bit-identically. Default 0
  *   XPS_REDUCE_WORKLOADS K = cluster the suite's workloads by their
@@ -32,7 +32,7 @@
  *                        still validated at full fidelity on the
  *                        whole suite in the final phase. 0 (default)
  *                        explores every workload. Part of the
- *                        checkpoint identity
+ *                        exploration identity
  *   XPS_FINAL_INSTRS     instructions for final cross-config evaluations
  *   XPS_RESULTS_DIR      cache directory for exploration outputs
  *   XPS_THREADS          worker threads for parallel exploration

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace xps
 {
@@ -69,24 +70,6 @@ Arm g_arms[kMaxArms];
 size_t g_num_arms = 0;
 SharedState *g_shared = nullptr;
 std::string g_spec;
-
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-uint64_t
-fnv1a(const char *s)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (; *s; ++s)
-        h = (h ^ static_cast<unsigned char>(*s)) * 1099511628211ULL;
-    return h;
-}
 
 int
 siteIndex(const char *name)
@@ -255,7 +238,7 @@ armSchedule(const std::string &spec)
             if (!send || *send != '\0')
                 fatal("XPS_FAULTS: bad seed '%s' in '%s'",
                       seed_text.c_str(), item.c_str());
-            arm.nth = 1 + mix64(seed ^ fnv1a(site.c_str()) ^
+            arm.nth = 1 + mix64(seed ^ fnv1a(site) ^
                                 static_cast<uint64_t>(arm.kind)) % 8;
         } else {
             arm.nth = nth;

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
 #include "obs/json.hh"
 #include "util/atomic_file.hh"
+#include "util/csv.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 
@@ -273,43 +275,59 @@ Metrics::serializeRollup() const
 bool
 Metrics::mergeRollup(const std::string &payload)
 {
-    obs::json::Value root;
+    using obs::json::Value;
+    Value root;
     if (!obs::json::parse(payload, root) || !root.isObject())
         return false;
-    const obs::json::Value *counters = root.find("counters");
-    const obs::json::Value *timers = root.find("timers");
-    const obs::json::Value *histograms = root.find("histograms");
-    if (counters && counters->isObject()) {
-        for (const auto &[name, v] : counters->fields)
-            if (v.type == obs::json::Value::Type::Number &&
-                v.number > 0)
-                counter(name).add(static_cast<uint64_t>(v.number));
-    }
-    if (timers && timers->isObject()) {
-        for (const auto &[name, v] : timers->fields)
-            if (v.type == obs::json::Value::Type::Number)
-                addSeconds(name, v.number);
-    }
-    if (histograms && histograms->isObject()) {
-        for (const auto &[name, v] : histograms->fields) {
-            if (!v.isObject())
-                continue;
-            Histogram &h = histogram(name);
-            h.absorbSum(static_cast<uint64_t>(v.numberOr("sum", 0)));
-            h.noteMax(static_cast<uint64_t>(v.numberOr("max", 0)));
-            const obs::json::Value *buckets = v.find("buckets");
-            if (buckets && buckets->isObject())
-                for (const auto &[idx, n] : buckets->fields)
-                    if (n.type == obs::json::Value::Type::Number &&
-                        n.number > 0)
-                        h.absorbBucket(
-                            static_cast<size_t>(
-                                std::strtoull(idx.c_str(), nullptr,
-                                              10)),
-                            static_cast<uint64_t>(n.number));
+    const Value *counters = root.find("counters");
+    const Value *timers = root.find("timers");
+    const Value *histograms = root.find("histograms");
+    if (!counters || !counters->isObject() || !timers ||
+        !timers->isObject() || !histograms || !histograms->isObject())
+        return false;
+    // One walk, run twice: the first only checks, so a rollup that is
+    // not what serializeRollup() writes merges nothing.
+    auto walk = [&](bool merge) {
+        for (const auto &[name, v] : counters->fields) {
+            uint64_t n = 0;
+            if (!v.wholeNumber(n))
+                return false;
+            if (merge && n > 0)
+                counter(name).add(n);
         }
-    }
-    return true;
+        for (const auto &[name, v] : timers->fields) {
+            if (v.type != Value::Type::Number || !std::isfinite(v.number))
+                return false;
+            if (merge)
+                addSeconds(name, v.number);
+        }
+        for (const auto &[name, v] : histograms->fields) {
+            const Value *sum = v.find("sum");
+            const Value *max = v.find("max");
+            const Value *buckets = v.find("buckets");
+            uint64_t sumNs = 0, maxNs = 0;
+            if (!sum || !sum->wholeNumber(sumNs) || !max ||
+                !max->wholeNumber(maxNs) || !buckets ||
+                !buckets->isObject())
+                return false;
+            Histogram *h = merge ? &histogram(name) : nullptr;
+            if (h) {
+                h->absorbSum(sumNs);
+                h->noteMax(maxNs);
+            }
+            for (const auto &[key, count] : buckets->fields) {
+                size_t index = 0;
+                uint64_t n = 0;
+                if (!parseCsvNumber(key, index) ||
+                    index >= Histogram::kBuckets || !count.wholeNumber(n))
+                    return false;
+                if (h && n > 0)
+                    h->absorbBucket(index, n);
+            }
+        }
+        return true;
+    };
+    return walk(false) && walk(true);
 }
 
 namespace

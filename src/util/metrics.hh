@@ -258,8 +258,10 @@ class Metrics
     /**
      * Fold a serializeRollup() payload into this registry: counters
      * and timers add, histogram buckets merge bucket-wise, maxima
-     * combine. False (registry untouched beyond already-merged
-     * entries) on a malformed payload.
+     * combine. False, with nothing merged, unless the payload is
+     * what serializeRollup() writes: the three sections, every count,
+     * sum and maximum a whole number in range, every bucket key a
+     * decimal index below Histogram::kBuckets, every timer finite.
      */
     bool mergeRollup(const std::string &payload);
 

@@ -22,6 +22,7 @@
 #include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/rng.hh"
 
 namespace xps
 {
@@ -87,24 +88,6 @@ writeFrame(const std::string &frame)
         off += static_cast<size_t>(n);
     }
     ::fcntl(g_beat_fd, F_SETFL, fl);
-}
-
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (const char c : s)
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    return h;
 }
 
 } // namespace

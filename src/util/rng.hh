@@ -6,7 +6,8 @@
  *
  * The core generator is xoshiro256** seeded via splitmix64, which is
  * fast, has a 256-bit state and passes BigCrush — more than adequate
- * for statistical workload synthesis.
+ * for statistical workload synthesis. The stateless hashes that seed
+ * or key anything (mix64, fnv1a) live here too.
  */
 
 #ifndef XPS_UTIL_RNG_HH
@@ -15,6 +16,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <string_view>
 
 namespace xps
 {
@@ -28,6 +30,27 @@ splitmix64(uint64_t &state)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+/** One splitmix64 output for `x`: a stateless 64-bit mixer (seeded
+ *  fault visits, retry-backoff jitter, staging-file nonces). */
+constexpr uint64_t
+mix64(uint64_t x)
+{
+    return splitmix64(x);
+}
+
+/** 64-bit FNV-1a of a string: the one stable string hash (result
+ *  store keys, trace flow ids, fault-site and job-name seeds). Its
+ *  offset basis is 1469598103934665603, not the reference
+ *  14695981039346656037; every stored key was made with it. */
+constexpr uint64_t
+fnv1a(std::string_view s)
+{
+    uint64_t h = 1469598103934665603ULL;
+    for (const char c : s)
+        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+    return h;
 }
 
 /**

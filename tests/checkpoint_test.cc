@@ -332,6 +332,14 @@ struct ResumeParam
     uint64_t seed;
 };
 
+/** gtest prints a parameter into its ctest name; without this, as
+ *  raw bytes. */
+void
+PrintTo(const ResumeParam &p, std::ostream *os)
+{
+    *os << "every=" << p.checkpointEvery << " seed=" << p.seed;
+}
+
 class AnnealerResume : public testing::TestWithParam<ResumeParam>
 {
 };
@@ -467,6 +475,13 @@ struct KillParam
     uint16_t workloads;  ///< suite size: a prefix of killSuite()
     uint64_t seed;
 };
+
+void
+PrintTo(const KillParam &p, std::ostream *os)
+{
+    *os << "kill_after=" << p.killAfterWrites << " threads=" << p.threads
+        << " workloads=" << p.workloads << " seed=" << p.seed;
+}
 
 class ExplorerKillResume : public testing::TestWithParam<KillParam>
 {
@@ -637,7 +652,7 @@ TEST(ExplorerThreads, ResultsAndCheckpointsIdenticalAtAnyThreadCount)
                 r.suiteCheckpoints.push_back(std::move(bytes));
         };
         Explorer explorer(suite, opts);
-        r.identity = explorer.checkpointIdentity();
+        r.identity = explorer.identity();
         r.results = explorer.exploreAll();
         std::filesystem::remove_all(dir);
         return r;

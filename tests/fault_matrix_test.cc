@@ -45,24 +45,6 @@ struct Scenario
     uint64_t nth;
 };
 
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-uint64_t
-strHash(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (const char c : s)
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    return h;
-}
-
 /** How deep into the run a site's fault may be scheduled: a derived
  *  nth beyond the site's guaranteed visit count would never fire and
  *  fail the firedCount assertion instead of testing anything. Counts
@@ -105,8 +87,8 @@ buildScenarios()
             s.kind = kind;
             s.nth = seed == 0
                         ? 1
-                        : 1 + mix64(seed ^ strHash(s.site) ^
-                                    strHash(kind)) %
+                        : 1 + mix64(seed ^ fnv1a(s.site) ^
+                                    fnv1a(kind)) %
                                   visitCap(s.site);
             all.push_back(s);
         }
@@ -118,6 +100,14 @@ std::string
 spec(const Scenario &s)
 {
     return s.site + ":" + s.kind + ":" + std::to_string(s.nth);
+}
+
+/** gtest prints a parameter into its ctest name; without this, as
+ *  raw bytes. */
+void
+PrintTo(const Scenario &s, std::ostream *os)
+{
+    *os << spec(s);
 }
 
 /** Record every armed schedule; the nightly CI uploads this file when

@@ -1006,6 +1006,42 @@ TEST(WorkerMetrics, RollupSerializationRoundTrips)
     EXPECT_FALSE(b.mergeRollup("not json"));
     EXPECT_FALSE(b.mergeRollup("[1,2,3]"));
     EXPECT_EQ(b.histogram("h.lat").count(), 100u);
+    // So is any payload serializeRollup() would not write, and it
+    // merges nothing, not even its well-formed entries: a count, sum
+    // or maximum that is negative, fractional, a string or beyond
+    // 2^53, a bucket key that is not an index below kBuckets, an
+    // infinite timer.
+    const std::string before = b.serializeRollup();
+    auto rollup = [](const std::string &counter, const std::string &timer,
+                     const std::string &hist) {
+        return R"({"counters":{"c.one":2)" + counter +
+               R"(},"timers":{)" + timer + R"(},"histograms":{)" + hist +
+               "}}";
+    };
+    auto hist = [](const char *sum, const char *max, const char *key,
+                   const char *count) {
+        return std::string(R"("h.lat":{"sum":)") + sum + R"(,"max":)" +
+               max + R"(,"buckets":{")" + key + R"(":)" + count + "}}";
+    };
+    for (const std::string &bad :
+         {rollup(R"(,"c.bad":-1)", "", ""),
+          rollup(R"(,"c.bad":1e30)", "", ""),
+          rollup(R"(,"c.bad":1e999)", "", ""),
+          rollup(R"(,"c.bad":1.5)", "", ""),
+          rollup(R"(,"c.bad":"3")", "", ""),
+          rollup("", R"("t.x":1e999)", ""),
+          rollup("", "", hist("-5", "1", "3", "1")),
+          rollup("", "", hist("5", "1e30", "3", "1")),
+          rollup("", "", hist("5", "1", "3", "-1")),
+          rollup("", "", hist("5", "1", "abc", "1")),
+          rollup("", "", hist("5", "1", "300", "1")),
+          std::string(R"({"counters":{"c.one":2},"timers":{}})")}) {
+        EXPECT_FALSE(b.mergeRollup(bad)) << bad;
+        EXPECT_EQ(b.serializeRollup(), before) << bad;
+    }
+    EXPECT_TRUE(b.mergeRollup(rollup("", "", hist("5", "1", "3", "1"))));
+    EXPECT_EQ(b.counter("c.one").get(), 6u);
+    EXPECT_EQ(b.histogram("h.lat").count(), 101u);
 }
 
 // Prometheus text exposition of the same registry (DESIGN.md §14).

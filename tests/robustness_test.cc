@@ -32,6 +32,7 @@
 #include "workload/trace.hh"
 
 #include "config_codecs.hh"
+#include "scoped_env.hh"
 
 using namespace xps;
 
@@ -441,6 +442,25 @@ TEST(ExperimentCache, Table4RoundTripsAndInvalidates)
     EXPECT_TRUE(loadTable4Cache(suite, loaded));
 }
 
+// Table 4 is keyed by the exploration's identity, walk knobs
+// included: each of them changes the walk, so a Table 4 written under
+// the defaults must be recomputed under any of them.
+TEST(ExperimentCache, Table4IsKeyedByTheWalk)
+{
+    const auto suite = cacheSuite();
+    storeTable4Cache(suite, cacheConfigs(suite));
+    std::vector<CoreConfig> loaded;
+    for (const auto &[knob, value] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"XPS_BATCH", "8"},
+             {"XPS_SURROGATE", "1"},
+             {"XPS_REDUCE_WORKLOADS", "4"}}) {
+        test::ScopedEnv walk(knob, value);
+        EXPECT_FALSE(loadTable4Cache(suite, loaded)) << knob;
+    }
+    EXPECT_TRUE(loadTable4Cache(suite, loaded));
+}
+
 TEST(ExperimentCache, Table5InvalidatesWhenConfigsChange)
 {
     const auto suite = cacheSuite();
@@ -503,7 +523,7 @@ partialHeader(const std::vector<WorkloadProfile> &suite,
               const std::vector<CoreConfig> &configs)
 {
     const CsvManifest identity =
-        PerfMatrix::partialIdentity(suite, configs, kMatrixInstrs);
+        PerfMatrix::identity(suite, configs, kMatrixInstrs);
     std::ostringstream out;
     out << "xps-matrix-partial v1\n";
     for (const auto &[key, value] : identity.entries)

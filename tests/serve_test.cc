@@ -48,6 +48,8 @@
 #include <thread>
 #include <vector>
 
+#include "comm/perf_matrix.hh"
+#include "explore/explorer.hh"
 #include "explore/supervisor.hh"
 #include "obs/json.hh"
 #include "serve/client.hh"
@@ -56,6 +58,8 @@
 #include "util/fault.hh"
 #include "util/metrics.hh"
 #include "util/shutdown.hh"
+
+#include "scoped_env.hh"
 
 #ifndef XPS_SERVE_BIN
 #error "XPS_SERVE_BIN must point at the built xps-serve binary"
@@ -244,6 +248,15 @@ const char *kWhatifReq =
     "{\"op\":\"whatif\",\"id\":\"w\",\"workloads\":[\"gzip\",\"mcf\"],"
     "\"instrs\":3000,\"config\":{\"sched_depth\":2,\"width\":4}}";
 
+/** The result-store key of kWhatifReq. */
+const char *kWhatifKey = "e59cd801e7f3d894";
+
+/** A small exploration whose walk XPS_BATCH changes. */
+const char *kExploreReq =
+    "{\"op\":\"explore\",\"id\":\"e\",\"workloads\":[\"gzip\","
+    "\"mcf\"],\"instrs\":4000,\"sa_iters\":24,\"rounds\":2,"
+    "\"seed\":11}";
+
 /** Golden whatif payload from a clean, fault-free daemon run. */
 std::string
 goldenWhatifResults()
@@ -376,6 +389,66 @@ TEST(ServeProtocol, RejectsConfigsBeyondTheFieldRanges)
 
 // --- store: repeat queries hit the content-addressed cache -----------------
 
+// A matrix or explore request is keyed by the identity of the result
+// its job computes, under the op's prefix: the explore key holds
+// exactly the identity of the Explorer the worker builds, so it
+// follows the walk knobs; the matrix key holds PerfMatrix's. A
+// whatif keeps its own identity, and its store key.
+TEST(ServeProtocol, StoreIdentityIsTheResultsIdentity)
+{
+    test::ScopedEnv scalar("XPS_BATCH", "1");
+    auto parsed = [](const std::string &line) {
+        serve::Request req;
+        std::string error;
+        EXPECT_TRUE(serve::parseRequest(line, req, error)) << error;
+        return req;
+    };
+    auto expectCarries = [](const CsvManifest &got, const char *op,
+                            const CsvManifest &result) {
+        ASSERT_EQ(got.entries.size(), 2 + result.entries.size());
+        EXPECT_EQ(got.entries[0],
+                  std::make_pair(std::string("schema"),
+                                 std::string(serve::kSchema)));
+        EXPECT_EQ(got.entries[1], std::make_pair(std::string("op"),
+                                                 std::string(op)));
+        for (size_t i = 0; i < result.entries.size(); ++i) {
+            EXPECT_EQ(got.entries[2 + i].first,
+                      std::string(op) + "." + result.entries[i].first);
+            EXPECT_EQ(got.entries[2 + i].second,
+                      result.entries[i].second);
+        }
+    };
+
+    const serve::Request explore = parsed(kExploreReq);
+    // What runExplore adds changes no result, so no key.
+    ExplorerOptions opts = serve::exploreOptions(explore);
+    opts.checkpointEvery = 8;
+    opts.checkpointDir = "unused";
+    const CsvManifest narrow = serve::requestIdentity(explore);
+    expectCarries(narrow, "explore",
+                  Explorer(explore.workloads, opts).identity());
+    {
+        test::ScopedEnv wide("XPS_BATCH", "8");
+        const CsvManifest batched = serve::requestIdentity(explore);
+        EXPECT_NE(serve::identityKey(batched),
+                  serve::identityKey(narrow));
+        expectCarries(batched, "explore",
+                      Explorer(explore.workloads, opts).identity());
+    }
+
+    const serve::Request matrix = parsed(
+        "{\"op\":\"matrix\",\"workloads\":[\"gzip\",\"mcf\"],"
+        "\"instrs\":3000,\"configs\":[{\"sched_depth\":2,\"width\":4},{}]}");
+    expectCarries(serve::requestIdentity(matrix), "matrix",
+                  PerfMatrix::identity(matrix.workloads, matrix.configs,
+                                       matrix.instrs));
+
+    // The whatif key is the one stores have always held it under.
+    EXPECT_EQ(serve::identityKey(
+                  serve::requestIdentity(parsed(kWhatifReq))),
+              kWhatifKey);
+}
+
 TEST(ServeStore, RepeatQueryIsAByteIdenticalCacheHit)
 {
     const std::string dir = shortTempDir();
@@ -398,6 +471,43 @@ TEST(ServeStore, RepeatQueryIsAByteIdenticalCacheHit)
     EXPECT_GE(numField(stats, "cache_publishes", 0), 1.0) << stats;
     EXPECT_GE(numField(stats, "completed", 0), 1.0) << stats;
     d.stopGracefully();
+    fs::remove_all(dir);
+}
+
+// The walk knobs key the store: a daemon restarted with XPS_BATCH=8
+// on a default daemon's state answers a repeated explore with a miss,
+// then with the width-8 exploration, which a fresh width-8 daemon
+// computes too.
+TEST(ServeStore, RestartWithAnotherWalkMissesTheStore)
+{
+    const std::string dir = shortTempDir();
+    {
+        Daemon d(dir);
+        d.start();
+        const std::string first = rpc(d.sock, kExploreReq, 300.0);
+        ASSERT_EQ(statusOf(first), "ok") << first;
+        d.stopGracefully();
+    }
+    Daemon wide(dir);
+    wide.env = {{"XPS_BATCH", "8"}};
+    wide.start();
+    const std::string miss = rpc(wide.sock, kExploreReq, 300.0);
+    ASSERT_EQ(statusOf(miss), "ok") << miss;
+    EXPECT_NE(miss.find("\"cache\":\"miss\""), std::string::npos) << miss;
+    const std::string hit = rpc(wide.sock, kExploreReq, 300.0);
+    EXPECT_NE(hit.find("\"cache\":\"hit\""), std::string::npos) << hit;
+    EXPECT_EQ(resultsOf(hit), resultsOf(miss));
+    wide.stopGracefully();
+
+    const std::string freshDir = shortTempDir();
+    Daemon fresh(freshDir);
+    fresh.env = {{"XPS_BATCH", "8"}};
+    fresh.start();
+    const std::string golden = rpc(fresh.sock, kExploreReq, 300.0);
+    ASSERT_EQ(statusOf(golden), "ok") << golden;
+    EXPECT_EQ(resultsOf(miss), resultsOf(golden));
+    fresh.stopGracefully();
+    fs::remove_all(freshDir);
     fs::remove_all(dir);
 }
 
@@ -689,6 +799,20 @@ TEST(ServeBoot, SweepsStaleSocketPidfileAndJournalDebris)
     const std::string done = dir + "/journal/job.cccc.json";
     std::ofstream(done) << "{\"key\":\"cccc\",\"state\":\"completed\","
                            "\"seq\":1,\"request\":\"{}\"}\n";
+    // Records of a runnable whatif whose seq is not a whole number in
+    // range: torn, like the cut one above, never run.
+    const std::vector<std::string> badSeqs = {"-1",  "1e30", "1e999",
+                                              "1.5", "\"7\"", "null"};
+    std::vector<std::string> badSeq;
+    for (size_t i = 0; i < badSeqs.size(); ++i) {
+        badSeq.push_back(dir + "/journal/job.d" + std::to_string(i) +
+                         ".json");
+        std::ofstream(badSeq.back())
+            << "{\"key\":\"d" << i << "\",\"seq\":" << badSeqs[i]
+            << ",\"request\":\"{\\\"op\\\":\\\"whatif\\\","
+               "\\\"workloads\\\":[\\\"gzip\\\"],"
+               "\\\"instrs\\\":2000}\"}\n";
+    }
 
     Daemon d(dir);
     d.start();
@@ -699,7 +823,16 @@ TEST(ServeBoot, SweepsStaleSocketPidfileAndJournalDebris)
     EXPECT_FALSE(fs::exists(orphan));
     EXPECT_FALSE(fs::exists(torn));
     EXPECT_FALSE(fs::exists(done));
+    for (const std::string &path : badSeq)
+        EXPECT_FALSE(fs::exists(path)) << path;
     EXPECT_EQ(numField(stats, "journal_recovered", -1), 0.0) << stats;
+    obs::json::Value metrics;
+    ASSERT_TRUE(obs::json::parse(rpc(d.sock, "{\"op\":\"metrics\"}"),
+                                 metrics));
+    const obs::json::Value *counters = metrics.find("counters");
+    ASSERT_NE(counters, nullptr);
+    EXPECT_EQ(counters->numberOr("serve.journal_torn", 0),
+              1.0 + badSeq.size());
     d.stopGracefully();
     fs::remove_all(dir);
 }
@@ -1105,6 +1238,14 @@ struct ServeFaultCase
     const char *site;
     const char *kind;
 };
+
+/** gtest prints a parameter into its ctest name; without this, as
+ *  raw bytes (here pointer values, which change every build). */
+void
+PrintTo(const ServeFaultCase &c, std::ostream *os)
+{
+    *os << c.site << ':' << c.kind;
+}
 
 class ServeFaultMatrix : public testing::TestWithParam<ServeFaultCase>
 {

@@ -641,6 +641,17 @@ struct ExecutorSetup
     int workers;
 };
 
+/** gtest prints a parameter into its ctest name; without this, as
+ *  raw bytes. */
+void
+PrintTo(const ExecutorSetup &s, std::ostream *os)
+{
+    *os << (s.backend == SupervisorOptions::Backend::Threads
+                ? "threads"
+                : "processes")
+        << " workers=" << s.workers;
+}
+
 class Executor : public testing::TestWithParam<ExecutorSetup>
 {
 };
@@ -843,7 +854,7 @@ TEST(SupervisedExplorer, QuarantinedFinalRowKeepsItsIncumbent)
     const size_t good = 1 - bad;
     SuiteCheckpoint last;
     ASSERT_TRUE(
-        parseSuiteCheckpoint(barrier, explorer.checkpointIdentity(), last));
+        parseSuiteCheckpoint(barrier, explorer.identity(), last));
     EXPECT_TRUE(results[bad].best.sameArch(last.workloads[bad].current));
     EXPECT_EQ(results[bad].adoptions, last.workloads[bad].adoptions);
     EXPECT_TRUE(std::isnan(results[bad].bestIpt));

@@ -44,6 +44,8 @@
 #include "workload/characteristics.hh"
 #include "workload/profile.hh"
 
+#include "scoped_env.hh"
+
 using namespace xps;
 
 namespace
@@ -122,29 +124,7 @@ freshDir(const std::string &tag)
     return dir.string();
 }
 
-/** setenv/unsetenv RAII: restores the previous value on scope exit,
- *  so env-driven tests cannot leak state into each other. */
-struct ScopedEnv
-{
-    std::string key;
-    bool had;
-    std::string old;
-    ScopedEnv(const char *k, const char *v) : key(k)
-    {
-        const char *o = ::getenv(k);
-        had = o != nullptr;
-        if (o)
-            old = o;
-        ::setenv(k, v, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (had)
-            ::setenv(key.c_str(), old.c_str(), 1);
-        else
-            ::unsetenv(key.c_str());
-    }
-};
+using test::ScopedEnv;
 
 } // namespace
 
@@ -583,6 +563,14 @@ struct KillParam
     int killAfterWrites;
     uint64_t seed;
 };
+
+/** gtest prints a parameter into its ctest name; without this, as
+ *  raw bytes. */
+void
+PrintTo(const KillParam &p, std::ostream *os)
+{
+    *os << "kill_after=" << p.killAfterWrites << " seed=" << p.seed;
+}
 
 class SurrogateKillResume : public testing::TestWithParam<KillParam>
 {

@@ -195,6 +195,18 @@ TEST(Rng, ForkDecorrelates)
 
 // --- stats ---------------------------------------------------------------
 
+// Store keys, trace flow ids, backoff jitter and seeded fault visits
+// all derive from these two hashes: their values must never move.
+TEST(Rng, StatelessHashesArePinned)
+{
+    EXPECT_EQ(fnv1a(""), 1469598103934665603ULL);
+    EXPECT_EQ(fnv1a("a"), 4953267810257967366ULL);
+    EXPECT_EQ(fnv1a("serve.journal"), fnv1a(std::string("serve.journal")));
+    EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafULL);
+    uint64_t state = 42;
+    EXPECT_EQ(mix64(42), splitmix64(state));
+}
+
 TEST(Stats, MeanBasics)
 {
     EXPECT_DOUBLE_EQ(mean({}), 0.0);
