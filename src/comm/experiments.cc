@@ -137,7 +137,10 @@ computeContext()
 
     // On a Table 4 miss the exploration's final phase is Table 5; the
     // separate build below runs only for a Table 4 hit without one.
-    std::vector<std::string> missing;
+    // `degraded` names the workloads whose result lost a task to
+    // quarantine: the exploration's degradedWorkloads(), or the
+    // separate build's missing rows.
+    std::vector<std::string> degraded;
     if (!loadTable4Cache(ctx.suite, ctx.configs)) {
         Metrics::global().counter("cache.table4_misses").add();
         inform("exploring customized configurations "
@@ -151,15 +154,16 @@ computeContext()
         for (const auto &r : results)
             ctx.configs.push_back(r.best);
         ctx.matrix = explorer.crossMatrix();
-        missing = explorer.crossMissingRows();
+        degraded = explorer.degradedWorkloads();
         if (budget.supervise)
             atomicWriteFile(budget.resultsDir +
                                 "/supervisor_report.json",
                             explorer.supervisorReport().toJson());
-
-        storeTable4Cache(ctx.suite, ctx.configs);
-        inform("cached customized configurations at %s",
-               table4CachePath().c_str());
+        if (degraded.empty()) {
+            storeTable4Cache(ctx.suite, ctx.configs);
+            inform("cached customized configurations at %s",
+                   table4CachePath().c_str());
+        }
     } else {
         Metrics::global().counter("cache.table4_hits").add();
         if (loadTable5Cache(ctx.suite, ctx.configs, ctx.matrix)) {
@@ -182,18 +186,19 @@ computeContext()
                 : std::string();
         ctx.matrix = PerfMatrix::build(ctx.suite, ctx.configs,
                                        budget.finalInstrs, supervisor,
-                                       partial, &missing);
+                                       partial, &degraded);
         if (budget.supervise)
             supervisor.writeReport(budget.resultsDir +
                                    "/matrix_supervisor_report.json");
     }
 
-    if (!missing.empty()) {
-        // A degraded matrix (NaN rows) must not poison the result
-        // cache; a rerun builds Table 5 again (resuming a separate
-        // build from its partial file) and fills the missing rows.
-        warn("matrix degraded (%zu quarantined rows); not caching",
-             missing.size());
+    if (!degraded.empty()) {
+        // A degraded result is never stored: neither table is cached,
+        // so a rerun explores again (a completed exploration leaves no
+        // checkpoints) or, after a Table 4 hit, builds Table 5 again
+        // from its partial file and fills the missing rows.
+        warn("%zu workloads degraded by quarantined tasks; not caching",
+             degraded.size());
         return ctx;
     }
     storeTable5Cache(ctx.suite, ctx.configs, ctx.matrix);

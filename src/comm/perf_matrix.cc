@@ -167,7 +167,8 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
                   const std::vector<CoreConfig> &configs,
                   uint64_t instrs, Supervisor &supervisor,
                   const std::string &partialPath,
-                  std::vector<std::string> *missingRows)
+                  std::vector<std::string> *missingRows,
+                  const std::vector<std::vector<bool>> *skip)
 {
     if (suite.size() != configs.size())
         fatal("PerfMatrix::build: %zu workloads vs %zu configs",
@@ -227,30 +228,28 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
                   partialPath.c_str());
     }
 
-    // One immutable trace per workload, generated up front and shared
-    // read-only by every task (and inherited by forked workers): row
-    // w's evaluations replay the same buffer instead of regenerating
-    // the stream per cell or per attempt.
+    // Tasks cover the cells neither the partial file recovered nor
+    // the caller skips: one row per task on forked workers, where a
+    // fork per cell would cost more than it balances, and one cell per
+    // task on threads, which keeps the threads evenly loaded. Each row
+    // with a task gets one immutable trace, generated here and shared
+    // read-only by its tasks (and inherited by forked workers): its
+    // evaluations replay the same buffer instead of regenerating the
+    // stream per cell or per attempt.
     SimOptions proto;
     proto.measureInstrs = instrs;
-    std::vector<std::shared_ptr<const TraceBuffer>> traces;
-    traces.reserve(n);
-    for (const auto &p : suite)
-        traces.push_back(sharedTrace(p, proto.streamId,
-                                     proto.traceOps()));
-
-    // Tasks cover the cells the partial file did not recover: one row
-    // per task on forked workers, where a fork per cell would cost
-    // more than it balances, and one cell per task on threads, which
-    // keeps the threads evenly loaded.
+    std::vector<std::shared_ptr<const TraceBuffer>> traces(n);
     const bool per_row = supervisor.options().backend ==
                          SupervisorOptions::Backend::Processes;
     std::vector<std::vector<Cell>> task_cells;
     std::vector<SupervisedTask> tasks;
     for (size_t w = 0; w < n; ++w) {
         for (size_t c = 0; c < n; ++c) {
-            if (arch[c] != c || have[w][c])
+            if (arch[c] != c || have[w][c] || (skip && (*skip)[w][c]))
                 continue;
+            if (!traces[w])
+                traces[w] = sharedTrace(suite[w], proto.streamId,
+                                        proto.traceOps());
             std::string name = "matrix." + suite[w].name;
             if (per_row && !tasks.empty() && tasks.back().name == name) {
                 task_cells.back().push_back({w, c});

@@ -4,7 +4,9 @@
  * customized configuration — the paper's Table 5 (IPT) and Appendix A
  * (percentage slowdown versus the workload's own customized
  * configuration). This matrix is the substrate of every communal-
- * customization analysis in §5.
+ * customization analysis in §5. The explorer builds it too: its final
+ * phase is one full build, and its between-round adoption builds one
+ * row at a time (explore/explorer.hh).
  */
 
 #ifndef XPS_COMM_PERF_MATRIX_HH
@@ -51,8 +53,9 @@ class PerfMatrix
      * hung worker is retried without ever surfacing a torn cell, and
      * the values are bit-identical on either backend. A row simulates
      * each distinct architecture (CoreConfig::sameArch) once and
-     * copies the value into its duplicate columns. The explorer's
-     * final phase is one such build (explore/explorer.hh).
+     * copies the value into its duplicate columns. Only rows with a
+     * cell to simulate get a trace. The explorer's final phase and
+     * each of its adoption rows are such builds (explore/explorer.hh).
      * @param suite the workloads (rows)
      * @param configs one customized configuration per workload, in
      *        suite order (columns)
@@ -69,12 +72,20 @@ class PerfMatrix
      *        its workload's name is appended here (when non-null,
      *        once per row) — the matrix still completes (graceful
      *        degradation), and the partial file is kept for a rerun.
+     * @param skip when non-null, (*skip)[w][c] names a cell the
+     *        caller already has or does not need: it is not simulated
+     *        and stays NaN. It is read per architecture, on the first
+     *        column of each sameArch group, so the caller decides per
+     *        architecture too. The explorer's between-round adoption
+     *        builds one row at a time this way.
      */
     static PerfMatrix build(const std::vector<WorkloadProfile> &suite,
                             const std::vector<CoreConfig> &configs,
                             uint64_t instrs, Supervisor &supervisor,
                             const std::string &partialPath = "",
                             std::vector<std::string> *missingRows =
+                                nullptr,
+                            const std::vector<std::vector<bool>> *skip =
                                 nullptr);
 
     /** Construct from precomputed values (row-major). */

@@ -403,7 +403,6 @@ serializeSuiteCheckpoint(const SuiteCheckpoint &ckpt,
     out << "workloads " << ckpt.workloads.size() << '\n';
     for (const auto &w : ckpt.workloads) {
         emitConfig(out, "current", w.current);
-        out << "ipt " << formatHexDouble(w.currentIpt) << '\n';
         out << "evals " << w.evals << '\n';
         out << "adoptions " << w.adoptions << '\n';
         emitMemo(out, w.memo);
@@ -435,10 +434,7 @@ parseSuiteCheckpoint(const std::string &content,
         SuiteWorkloadState w;
         if (!parseConfig(reader, "current", w.current))
             return false;
-        const auto *l = reader.expect("ipt", 1);
-        if (!l || !parseHexDouble((*l)[1], w.currentIpt))
-            return false;
-        l = reader.expect("evals", 1);
+        const auto *l = reader.expect("evals", 1);
         if (!l || !parseCsvNumber((*l)[1], w.evals))
             return false;
         l = reader.expect("adoptions", 1);

@@ -9,10 +9,13 @@
  *    memo and counters. Rewritten atomically every
  *    XPS_CHECKPOINT_EVERY iterations.
  *  - one suite file (suite.ckpt): the round-barrier state — every
- *    workload's post-adoption configuration, score, memo and
- *    counters. Written atomically at each barrier, so a crash never
- *    mixes pre- and post-adoption state. The final phase's checkpoint
- *    is its matrix's partial file (final.partial, comm/perf_matrix.hh).
+ *    workload's post-adoption configuration, memo and counters. A
+ *    workload's score is its memo's cell for that configuration, so
+ *    the file carries no score of its own, and a file with an `ipt`
+ *    line is rejected. Written atomically at each barrier, so a crash
+ *    never mixes pre- and post-adoption state. The final phase's
+ *    checkpoint is its matrix's partial file (final.partial,
+ *    comm/perf_matrix.hh).
  *
  * Scores are serialized as C99 hex-floats and configurations (`config`
  * lines, memo keys) as their exact CoreConfig::toCsvRow() cells, so a
@@ -73,7 +76,6 @@ struct WorkloadCheckpoint
 struct SuiteWorkloadState
 {
     CoreConfig current;
-    double currentIpt = 0.0;
     uint64_t evals = 0;
     uint64_t adoptions = 0;
     std::vector<std::pair<std::string, double>> memo;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -18,7 +19,6 @@
 #include "util/kmeans.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
-#include "util/parallel.hh"
 #include "util/shutdown.hh"
 #include "workload/characteristics.hh"
 #include "workload/trace.hh"
@@ -40,6 +40,45 @@ memoToVector(const std::unordered_map<std::string, double> &memo)
  *  workloads, not measure them precisely, and the cost is paid once
  *  per workload-round. */
 constexpr uint64_t kSurrogateCharInstrs = 50000;
+
+/**
+ * The paper's adoption rule (§4.1), the one definition both phases
+ * call. `row` is workload w's row of a matrix whose columns are the
+ * incumbents `held`; adoption only copies incumbents, so col[j] is the
+ * column workload j holds. In suite order, w takes col[other] when it
+ * runs clearly better there than on its own, row[col[other]] >
+ * row[col[w]] * (1 + margin), skipping itself and incumbents of its
+ * own architecture. A NaN cell never wins. Each adoption bumps
+ * `adoptions` and is logged with `names`. Returns the foreign cells
+ * compared.
+ */
+size_t
+adoptRow(size_t w, const std::vector<double> &row,
+         const std::vector<CoreConfig> &held, std::vector<size_t> &col,
+         double margin, const std::vector<std::string> &names,
+         uint64_t &adoptions)
+{
+    size_t compared = 0;
+    for (size_t other = 0; other < col.size(); ++other) {
+        if (other == w || held[col[other]].sameArch(held[col[w]]))
+            continue;
+        ++compared;
+        const double ipt = row[col[other]];
+        if (ipt > row[col[w]] * (1.0 + margin)) {
+            col[w] = col[other];
+            ++adoptions;
+            Metrics::global().counter("explore.adoptions").add();
+            obs::log::event(obs::log::Level::Info, "explore", "adoption",
+                            [&] {
+                                return obs::Args()
+                                    .add("workload", names[w])
+                                    .add("from", names[other])
+                                    .add("ipt", ipt);
+                            });
+        }
+    }
+    return compared;
+}
 
 } // namespace
 
@@ -387,7 +426,6 @@ Explorer::annealWorkloadRound(
 
     SuiteWorkloadState out;
     out.current = st.result.best;
-    out.currentIpt = st.result.bestScore;
     out.evals = evals;
     out.adoptions = adoptions;
     out.memo = memoToVector(memo);
@@ -429,7 +467,6 @@ Explorer::exploreAll()
 
     std::vector<WorkloadResult> results(n);
     std::vector<CoreConfig> current(n, space_.initialConfig());
-    std::vector<double> current_ipt(n, 0.0);
     // Per-workload evaluation memo (each is touched by one worker at
     // a time; adoption reads and writes it only on this thread).
     std::vector<std::unordered_map<std::string, double>> memo(n);
@@ -439,6 +476,9 @@ Explorer::exploreAll()
     // XPS_SURROGATE is off); carried across rounds and through the
     // suite barrier checkpoint like the memo.
     std::vector<std::string> surrogate(n);
+    // Workloads that lost a round task, an adoption row or a final
+    // row to quarantine: degradedWorkloads().
+    std::vector<bool> degraded(n, false);
 
     // XPS_REDUCE_WORKLOADS=K: anneal only the K cluster
     // representatives of the suite's workload characteristics;
@@ -446,8 +486,7 @@ Explorer::exploreAll()
     // the skipped ones, on their representative's configuration —
     // is still validated at full fidelity in the final phase below.
     std::vector<size_t> rep(n);
-    for (size_t w = 0; w < n; ++w)
-        rep[w] = w;
+    std::iota(rep.begin(), rep.end(), 0);
     const uint64_t reduce_k = walk_.reduceWorkloads;
     if (reduce_k > 0 && reduce_k < n) {
         obs::ScopedSpan reduce_span("explore.reduce", "explore", [&] {
@@ -457,14 +496,22 @@ Explorer::exploreAll()
         });
         rep = reduceWorkloads(suite_,
                               static_cast<size_t>(reduce_k));
-        size_t skipped = 0;
-        for (size_t w = 0; w < n; ++w) {
-            if (rep[w] != w)
-                ++skipped;
+    }
+    // The annealing workloads, in suite order: the rows and columns of
+    // every between-round adoption.
+    std::vector<size_t> annealing;
+    std::vector<WorkloadProfile> annealing_suite;
+    for (size_t w = 0; w < n; ++w) {
+        if (rep[w] == w) {
+            annealing.push_back(w);
+            annealing_suite.push_back(suite_[w]);
         }
-        metrics.counter("surrogate.workloads_reduced").add(skipped);
+    }
+    if (annealing.size() < n) {
+        metrics.counter("surrogate.workloads_reduced")
+            .add(n - annealing.size());
         inform("workload reduction: annealing %zu of %zu workloads "
-               "(XPS_REDUCE_WORKLOADS=%llu)", n - skipped, n,
+               "(XPS_REDUCE_WORKLOADS=%llu)", annealing.size(), n,
                static_cast<unsigned long long>(reduce_k));
     }
 
@@ -482,7 +529,6 @@ Explorer::exploreAll()
                 sc.workloads.size() == n && sc.round <= opts_.rounds) {
                 for (size_t w = 0; w < n; ++w) {
                     current[w] = sc.workloads[w].current;
-                    current_ipt[w] = sc.workloads[w].currentIpt;
                     evals[w] = sc.workloads[w].evals;
                     adoptions[w] = sc.workloads[w].adoptions;
                     memo[w].insert(sc.workloads[w].memo.begin(),
@@ -510,7 +556,6 @@ Explorer::exploreAll()
         sc.workloads.resize(n);
         for (size_t w = 0; w < n; ++w) {
             sc.workloads[w].current = current[w];
-            sc.workloads[w].currentIpt = current_ipt[w];
             sc.workloads[w].evals = evals[w];
             sc.workloads[w].adoptions = adoptions[w];
             sc.workloads[w].memo = memoToVector(memo[w]);
@@ -536,67 +581,15 @@ Explorer::exploreAll()
     // a resume straight into the final phase skips the cost.
     std::vector<std::shared_ptr<const TraceBuffer>> traces(n);
 
-    // Adoption waves (DESIGN.md §6): right before workload w's
-    // adoption loop, simulate w in parallel on every distinct foreign
-    // incumbent the loop may ask for. The loop changes only
-    // current[w], so each configuration it evaluates is in the wave,
-    // in memo[w], or is w's own former incumbent; it reads the wave in
-    // place of simulating and otherwise runs, counts and memoizes
-    // exactly as a serial loop. One thread skips the wave, which could
-    // only add simulations that an adoption makes moot.
-    using Wave = std::unordered_map<std::string, double>;
-    auto adoption_wave = [&](size_t w) {
-        Wave wave;
-        if (opts_.threads <= 1)
-            return wave;
-        std::vector<std::pair<const CoreConfig *, double *>> todo;
-        for (size_t other = 0; other < n; ++other) {
-            if (other == w || rep[other] != other ||
-                current[other].sameArch(current[w]))
-                continue;
-            std::string key = current[other].memoKey();
-            if (memo[w].contains(key))
-                continue;
-            const auto [it, fresh] = wave.emplace(std::move(key), 0.0);
-            if (fresh)
-                todo.emplace_back(&current[other], &it->second);
-        }
-        parallelFor(todo.size(), opts_.threads, [&](size_t i) {
-            *todo[i].second = evaluate(suite_[w], *todo[i].first,
-                                       opts_.evalInstrs, traces[w]);
-        });
-        return wave;
-    };
-
-    auto cached_eval = [&](size_t w, const CoreConfig &cfg,
-                           const Wave &wave) {
-        auto &m = memo[w];
-        const std::string key = cfg.memoKey();
-        const auto it = m.find(key);
-        if (it != m.end())
-            return it->second;
-        const auto pre = wave.find(key);
-        const double ipt =
-            pre != wave.end()
-                ? pre->second
-                : evaluate(suite_[w], cfg, opts_.evalInstrs, traces[w]);
-        ++evals[w];
-        m.emplace(key, ipt);
-        return ipt;
-    };
-
-    // `supervised` picks the backend of the rounds and of the final
-    // matrix; the code that runs on it is the same.
+    // `supervised` picks the backend of the rounds, the adoption rows
+    // and the final matrix; the code that runs on it is the same.
     Supervisor sup(opts_.supervised
                        ? opts_.supervisorOpts
                        : SupervisorOptions::onThreads(opts_.threads));
 
     if (start_round < opts_.rounds) {
-        for (size_t w = 0; w < n; ++w) {
-            if (rep[w] == w)
-                traces[w] =
-                    sharedTrace(suite_[w], 0, 2 * opts_.evalInstrs);
-        }
+        for (const size_t w : annealing)
+            traces[w] = sharedTrace(suite_[w], 0, 2 * opts_.evalInstrs);
         ScopedTimer timer("explore.anneal_seconds");
         // Workloads whose annealing task was quarantined: their
         // configuration is frozen at the last completed round and the
@@ -606,7 +599,6 @@ Explorer::exploreAll()
         auto snapshotState = [&](size_t w) {
             SuiteWorkloadState in;
             in.current = current[w];
-            in.currentIpt = current_ipt[w];
             in.evals = evals[w];
             in.adoptions = adoptions[w];
             in.memo = memoToVector(memo[w]);
@@ -615,7 +607,6 @@ Explorer::exploreAll()
         };
         auto installState = [&](size_t w, const SuiteWorkloadState &out) {
             current[w] = out.current;
-            current_ipt[w] = out.currentIpt;
             evals[w] = out.evals;
             adoptions[w] = out.adoptions;
             memo[w] = std::unordered_map<std::string, double>(
@@ -670,6 +661,7 @@ Explorer::exploreAll()
                 if (outcomes[j].status ==
                     ProcJobOutcome::Status::Quarantined) {
                     frozen[task_workload[j]] = true;
+                    degraded[task_workload[j]] = true;
                     warn("explore[%s]: round %d quarantined; "
                          "freezing its configuration at the last "
                          "completed round",
@@ -683,44 +675,66 @@ Explorer::exploreAll()
             // the next round, exactly as in the paper — so adopted
             // configurations re-specialize instead of collapsing the
             // suite onto a few shared architectures. No adoption
-            // after the final round.
+            // after the final round. The matrix is over the annealing
+            // workloads and their pre-adoption incumbents `held`, and
+            // its rows are built one at a time on the rounds'
+            // executor, right before their workload decides: row i
+            // simulates every incumbent some workload still holds and
+            // memo[i] lacks, exactly the cells a serial loop would
+            // (DESIGN.md §6). A quarantined row leaves its workload
+            // on its incumbent for this round, and none of its cells is
+            // memoized or counted.
             if (round < opts_.rounds - 1) {
                 ScopedTimer adopt_timer("explore.adopt_seconds");
                 obs::ScopedSpan adopt_span(
                     "explore.adopt", "explore", [&] {
                         return obs::Args().add("round", round);
                     });
-                for (size_t w = 0; w < n; ++w) {
-                    if (rep[w] != w)
-                        continue; // non-reps inherit after the rounds
-                    const Wave wave = adoption_wave(w);
-                    for (size_t other = 0; other < n; ++other) {
-                        if (other == w || rep[other] != other)
-                            continue;
-                        if (current[other].sameArch(current[w]))
-                            continue;
-                        const double ipt =
-                            cached_eval(w, current[other], wave);
-                        if (ipt > current_ipt[w] *
-                                      (1.0 + opts_.adoptionMargin)) {
-                            current[w] = current[other];
-                            current_ipt[w] = ipt;
-                            ++adoptions[w];
-                            metrics.counter("explore.adoptions").add();
-                            obs::log::event(
-                                obs::log::Level::Info, "explore",
-                                "round adoption", [&] {
-                                    return obs::Args()
-                                        .add("round", round)
-                                        .add("workload",
-                                             suite_[w].name)
-                                        .add("from",
-                                             suite_[other].name)
-                                        .add("ipt", ipt);
-                                });
+                const size_t k = annealing.size();
+                std::vector<CoreConfig> held;
+                for (const size_t w : annealing)
+                    held.push_back(current[w]);
+                std::vector<size_t> col(k);
+                std::iota(col.begin(), col.end(), 0);
+                for (size_t i = 0; i < k; ++i) {
+                    const size_t w = annealing[i];
+                    auto &m = memo[w];
+                    std::vector<std::vector<bool>> skip(
+                        k, std::vector<bool>(k, true));
+                    for (const size_t j : col) {
+                        for (size_t c = 0; c < k; ++c) {
+                            if (held[j].sameArch(held[c]) &&
+                                !m.contains(held[c].memoKey()))
+                                skip[i][c] = false;
                         }
                     }
+                    std::vector<std::string> lost;
+                    const PerfMatrix cells = PerfMatrix::build(
+                        annealing_suite, held, opts_.evalInstrs, sup, "",
+                        &lost, &skip);
+                    if (!lost.empty()) {
+                        warn("explore[%s]: round %d adoption row "
+                             "quarantined; keeping its incumbent",
+                             suite_[w].name.c_str(), round);
+                        degraded[w] = true;
+                        continue;
+                    }
+                    // Memoize and count each simulated cell once per
+                    // architecture, in the order a serial loop reads
+                    // them: the memo's iteration order reaches the
+                    // checkpoints.
+                    std::vector<double> row(k);
+                    for (const size_t c : col) {
+                        const auto [it, fresh] =
+                            m.emplace(held[c].memoKey(), cells.ipt(i, c));
+                        evals[w] += fresh;
+                        row[c] = it->second;
+                    }
+                    adoptRow(i, row, held, col, opts_.adoptionMargin,
+                             cells.names(), adoptions[w]);
                 }
+                for (size_t i = 0; i < k; ++i)
+                    current[annealing[i]] = held[col[i]];
             }
             // After the last round, hand every reduced-away workload
             // its representative's configuration — the final phase
@@ -757,10 +771,9 @@ Explorer::exploreAll()
     // Final phase (DESIGN.md §6): one matrix of every workload on
     // every pre-final incumbent at the (longer) final length, on the
     // rounds' executor; its partial file is the phase's checkpoint.
-    // The paper's adoption rule applies one last time, to gross
-    // violations only, as arithmetic on the matrix: adoption only
-    // copies an incumbent, and col[w] indexes the one workload w holds.
-    // A quarantined row stays NaN, so its workload keeps its incumbent.
+    // The adoption rule applies one last time, to gross violations
+    // only, to each row of the matrix. A quarantined row stays NaN, so
+    // its workload keeps its incumbent.
     ScopedTimer final_timer("explore.final_seconds");
     obs::ScopedSpan final_span("explore.final", "explore");
     const uint64_t score_instrs = opts_.finalEvalInstrs > 0
@@ -768,33 +781,29 @@ Explorer::exploreAll()
                                       : opts_.evalInstrs;
     const std::string final_partial = opts_.checkpointDir + "/final.partial";
     traces.clear(); // the matrix replays final-length traces of its own
-    crossMissingRows_.clear();
+    std::vector<std::string> lost;
     const PerfMatrix pre = PerfMatrix::build(
         suite_, current, score_instrs, sup,
-        ckpt ? final_partial : std::string(), &crossMissingRows_);
+        ckpt ? final_partial : std::string(), &lost);
     supervisorReport_ = sup.report();
+    for (const std::string &name : lost)
+        degraded[pre.index(name)] = true;
     std::vector<size_t> col(n);
-    for (size_t w = 0; w < n; ++w)
-        col[w] = w;
+    std::iota(col.begin(), col.end(), 0);
+    std::vector<double> row(n);
     for (size_t w = 0; w < n; ++w) {
-        ++evals[w]; // its own score
-        for (size_t other = 0; other < n; ++other) {
-            if (other == w ||
-                current[col[other]].sameArch(current[col[w]]))
-                continue;
-            ++evals[w];
-            if (pre.ipt(w, col[other]) >
-                pre.ipt(w, col[w]) * (1.0 + opts_.grossAdoptionMargin)) {
-                col[w] = col[other];
-                ++adoptions[w];
-                metrics.counter("explore.adoptions").add();
-            }
-        }
+        for (size_t c = 0; c < n; ++c)
+            row[c] = pre.ipt(w, c);
+        // Its own score, then every foreign incumbent it compared.
+        evals[w] += 1 + adoptRow(w, row, current, col,
+                                 opts_.grossAdoptionMargin, pre.names(),
+                                 adoptions[w]);
     }
 
     // Table 5 is the same matrix with its columns remapped to the
     // final configurations.
     std::vector<std::vector<double>> table5(n, std::vector<double>(n));
+    degradedWorkloads_.clear();
     for (size_t w = 0; w < n; ++w) {
         for (size_t c = 0; c < n; ++c)
             table5[w][c] = pre.ipt(w, col[c]);
@@ -804,6 +813,8 @@ Explorer::exploreAll()
         results[w].bestIpt = pre.ipt(w, col[w]);
         results[w].evaluations = evals[w];
         results[w].adoptions = adoptions[w];
+        if (degraded[w])
+            degradedWorkloads_.push_back(suite_[w].name);
     }
     crossMatrix_ = PerfMatrix(pre.names(), std::move(table5));
 

@@ -4,20 +4,20 @@
  * search for every workload of a suite, with the paper's
  * cross-adoption acceleration (§4.1): after each round, every workload
  * is evaluated on every other workload's incumbent configuration and
- * adopts it when it performs better there than on its own. The final
- * phase is one cross matrix at the longer final length, on which the
- * adoption rule applies once more, to gross violations only; remapped
- * to the final configurations, it is the paper's Table 5.
+ * adopts it when it performs clearly better there than on its own.
+ * The final phase is one cross matrix at the longer final length, on
+ * which the adoption rule applies once more, to gross violations only;
+ * remapped to the final configurations, it is the paper's Table 5.
  *
- * A round runs one task per workload on a Supervisor
- * (explore/supervisor.hh): on threads, or on forked workers when
- * `supervised`; either way the post-round state crosses back as a
- * serialized, identity-validated payload. The final matrix runs on the
- * same Supervisor. Between rounds, each workload's adoption candidates
- * are simulated as one parallel wave (util/parallel.hh) before its
- * adoption decisions are taken, in suite order, on the calling thread.
- * Results therefore do not depend on the thread count or the backend
- * (DESIGN.md §6).
+ * Everything runs on one Supervisor (explore/supervisor.hh): on
+ * threads, or on forked workers when `supervised`. A round is one task
+ * per workload, whose post-round state crosses back as a serialized,
+ * identity-validated payload. The adoption rule has one definition,
+ * applied to matrix rows (comm/perf_matrix.hh): between rounds, each
+ * workload's row is built on the Supervisor right before it decides,
+ * simulating only what its memo lacks; after the rounds, the final
+ * matrix supplies every row. Results therefore do not depend on the
+ * thread count or the backend (DESIGN.md §6).
  *
  * The output — one customized configuration per workload — is the
  * paper's *configurational characterization* of the suite.
@@ -87,13 +87,15 @@ struct ExplorerOptions
      *  its path. */
     std::function<void(const std::string &)> checkpointWrittenHook;
 
-    /** Run the annealing round tasks and the final matrix's rows on
-     *  forked, supervised worker processes (DESIGN.md §9) instead of
-     *  threads: crashes and hangs are retried from the last
-     *  checkpoint. On either backend a repeatedly failing task is
-     *  quarantined (its workload keeps its last incumbent) rather than
-     *  aborting the suite, and results are bit-identical. Enabled by
-     *  XPS_SUPERVISE in the cached experiment pipeline. */
+    /** Run the annealing round tasks, the adoption rows and the
+     *  final matrix's rows on forked, supervised worker processes
+     *  (DESIGN.md §9) instead of threads, so no simulation runs in
+     *  the calling process: crashes and hangs are retried from the
+     *  last checkpoint. On either backend a repeatedly failing task
+     *  is quarantined (its workload keeps its last incumbent and is
+     *  listed by degradedWorkloads()) rather than aborting the suite,
+     *  and results are bit-identical. Enabled by XPS_SUPERVISE in the
+     *  cached experiment pipeline. */
     bool supervised = false;
     /** Process-backend policy when `supervised` (workers defaults to
      *  `threads` when <= 0). */
@@ -159,8 +161,9 @@ class Explorer
     const CsvManifest &identity() const { return identity_; }
 
     /** Supervision outcome of the last exploreAll(), on either
-     *  backend: one record per round and final-matrix task, plus
-     *  crashes, hangs, retries and quarantined tasks. */
+     *  backend: one record per round task and per matrix task of the
+     *  adoption rows and the final matrix, plus crashes, hangs,
+     *  retries and quarantined tasks. */
     const SupervisorReport &supervisorReport() const
     {
         return supervisorReport_;
@@ -171,10 +174,15 @@ class Explorer
      *  diagonal is each bestIpt. */
     const PerfMatrix &crossMatrix() const { return crossMatrix_; }
 
-    /** Workloads whose crossMatrix() row was quarantined (NaN). */
-    const std::vector<std::string> &crossMissingRows() const
+    /** Workloads of the last exploreAll() that lost a task to
+     *  quarantine, in suite order: a round task (its configuration
+     *  froze at the last completed round), an adoption row (it kept
+     *  its incumbent that round) or a final row (its crossMatrix()
+     *  row is NaN). A result with any is degraded and is never
+     *  stored as a clean one. */
+    const std::vector<std::string> &degradedWorkloads() const
     {
-        return crossMissingRows_;
+        return degradedWorkloads_;
     }
 
   private:
@@ -207,7 +215,7 @@ class Explorer
     CsvManifest identity_;
     SupervisorReport supervisorReport_;
     PerfMatrix crossMatrix_;
-    std::vector<std::string> crossMissingRows_;
+    std::vector<std::string> degradedWorkloads_;
 };
 
 } // namespace xps

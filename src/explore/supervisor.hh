@@ -18,7 +18,8 @@
  * concurrently with each other. Outcomes come back in task order and
  * accumulate into one report (crashes, hangs, retries, quarantined
  * tasks) that callers embed in their results manifest. The Explorer's
- * annealing rounds and PerfMatrix::build both run on a Supervisor.
+ * annealing rounds and PerfMatrix::build, and with it the explorer's
+ * adoption rows and final matrix, all run on a Supervisor.
  */
 
 #ifndef XPS_EXPLORE_SUPERVISOR_HH

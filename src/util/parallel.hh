@@ -2,11 +2,11 @@
  * @file
  * The in-process thread pool: parallelFor() runs independent indexed
  * work items on a few threads and returns only when all of them are
- * done. The executor's thread backend (explore/supervisor.hh, which
- * runs explorer rounds and PerfMatrix::build) and the explorer's
- * adoption waves and final scores fan out through it; the forked
- * counterpart behind the executor's process backend is
- * util/procpool.hh.
+ * done. Its one user is the executor's thread backend
+ * (explore/supervisor.hh), which runs explorer rounds and every
+ * PerfMatrix::build, the explorer's adoption rows and final matrix
+ * included; the forked counterpart behind the executor's process
+ * backend is util/procpool.hh.
  */
 
 #ifndef XPS_UTIL_PARALLEL_HH

@@ -148,7 +148,6 @@ sampleSuiteCheckpoint()
         SuiteWorkloadState ws;
         ws.current = space().initialConfig();
         ws.current.name = "w" + std::to_string(i);
-        ws.currentIpt = 1.0 + i;
         ws.evals = 10 + static_cast<uint64_t>(i);
         ws.adoptions = static_cast<uint64_t>(i);
         ws.memo = {{"0.33|3|128|64|64|1|2|128|2|32|4|1024|4|128|12",
@@ -231,13 +230,33 @@ TEST(CheckpointFormat, SuiteRoundTrip)
             ckpt.workloads[i].current));
         EXPECT_EQ(back.workloads[i].current.name,
                   ckpt.workloads[i].current.name);
-        EXPECT_EQ(back.workloads[i].currentIpt,
-                  ckpt.workloads[i].currentIpt);
         EXPECT_EQ(back.workloads[i].evals, ckpt.workloads[i].evals);
         EXPECT_EQ(back.workloads[i].adoptions,
                   ckpt.workloads[i].adoptions);
         EXPECT_EQ(back.workloads[i].memo, ckpt.workloads[i].memo);
     }
+}
+
+TEST(CheckpointFormat, RejectsSuiteCheckpointWithIptLines)
+{
+    // An older suite checkpoint carried each workload's incumbent
+    // score on an `ipt` line after its `config current` line. The
+    // score now comes from the memo, and such a file is rejected
+    // rather than misread.
+    std::string text = serializeSuiteCheckpoint(sampleSuiteCheckpoint(),
+                                                testIdentity());
+    SuiteCheckpoint back;
+    ASSERT_TRUE(parseSuiteCheckpoint(text, testIdentity(), back));
+    size_t inserted = 0;
+    for (size_t at = text.find("\nconfig current");
+         at != std::string::npos;
+         at = text.find("\nconfig current", at + 1)) {
+        text.insert(text.find('\n', at + 1) + 1,
+                    "ipt " + formatHexDouble(1.5) + "\n");
+        ++inserted;
+    }
+    ASSERT_EQ(inserted, 3u);
+    EXPECT_FALSE(parseSuiteCheckpoint(text, testIdentity(), back));
 }
 
 TEST(CheckpointFormat, RejectsForeignManifest)

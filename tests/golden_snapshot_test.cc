@@ -88,35 +88,31 @@ goldenHeader()
     return header;
 }
 
-/** Write `fresh` to `path` under XPS_REGEN_GOLDEN=1 (true), else
- *  expect it to equal the committed snapshot cell for cell. */
-bool
+/** Write `fresh` to `path` under XPS_REGEN_GOLDEN=1, else expect it
+ *  to equal the committed snapshot cell for cell. */
+void
 regenerateOrCompare(const char *path, const CsvDoc &fresh)
 {
     if (envInt("XPS_REGEN_GOLDEN", 0) != 0) {
         writeCsv(path, fresh);
         inform("golden snapshot regenerated at %s — review and "
                "commit the diff", path);
-        return true;
+        return;
     }
     CsvDoc golden;
-    EXPECT_TRUE(readCsv(path, golden))
+    ASSERT_TRUE(readCsv(path, golden))
         << "missing " << path << "; regenerate with XPS_REGEN_GOLDEN=1";
-    EXPECT_EQ(golden.header, fresh.header);
-    EXPECT_EQ(golden.rows.size(), fresh.rows.size());
-    if (golden.header != fresh.header ||
-        golden.rows.size() != fresh.rows.size())
-        return false;
+    ASSERT_EQ(golden.header, fresh.header);
+    ASSERT_EQ(golden.rows.size(), fresh.rows.size());
     for (size_t i = 0; i < fresh.rows.size(); ++i) {
         for (size_t j = 0; j < fresh.header.size(); ++j) {
             EXPECT_EQ(golden.rows[i][j], fresh.rows[i][j])
-                << fresh.rows[i][0] << "." << fresh.header[j]
-                << " drifted from " << path << "; if the change is "
-                   "intentional, regenerate with XPS_REGEN_GOLDEN=1 "
-                   "and commit the diff";
+                << "row " << i << " (" << fresh.rows[i][0] << ")."
+                << fresh.header[j] << " drifted from " << path
+                << "; if the change is intentional, regenerate with "
+                   "XPS_REGEN_GOLDEN=1 and commit the diff";
         }
     }
-    return false;
 }
 
 } // namespace

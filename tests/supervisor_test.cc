@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdlib>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +30,7 @@
 #include "comm/perf_matrix.hh"
 #include "explore/explorer.hh"
 #include "explore/supervisor.hh"
+#include "obs/json.hh"
 #include "util/atomic_file.hh"
 #include "util/fault.hh"
 #include "util/metrics.hh"
@@ -829,8 +831,10 @@ TEST(SupervisedExplorer, QuarantinedFinalRowKeepsItsIncumbent)
 {
     // The final phase's matrix rows run as forked jobs. One row fails
     // its only attempt: the exploration still completes, the row is
-    // reported missing and stays NaN, its workload keeps the incumbent
-    // of the last round's barrier, and the checkpoints still go.
+    // reported degraded and stays NaN, its workload keeps the
+    // incumbent of the last round's barrier, and the checkpoints still
+    // go. The fault is armed at that barrier, where no worker is live,
+    // so it lands in the final matrix and not in an adoption row.
     const std::string ckpt = freshDir("final_quarantine");
     ExplorerOptions opts = miniOpts(5);
     opts.supervised = true;
@@ -839,18 +843,22 @@ TEST(SupervisedExplorer, QuarantinedFinalRowKeepsItsIncumbent)
     opts.checkpointEvery = 4;
     opts.checkpointDir = ckpt;
     std::string barrier; // runs in this process: the barrier's writer
-    opts.checkpointWrittenHook = [&](const std::string &path) {
-        if (path == ckpt + "/suite.ckpt")
-            readFile(path, barrier);
+    int barriers = 0;
+    opts.checkpointWrittenHook = [&, rounds = opts.rounds](
+                                     const std::string &path) {
+        if (path != ckpt + "/suite.ckpt")
+            return;
+        readFile(path, barrier);
+        if (++barriers == rounds) // one final row's result frame
+            fault::armSchedule("cell.publish:crash:1");
     };
-    fault::armSchedule("cell.publish:crash:1"); // one row's result frame
     Explorer explorer(miniSuite(), opts);
     const auto results = explorer.exploreAll();
     fault::armSchedule("");
 
-    ASSERT_EQ(explorer.crossMissingRows().size(), 1u);
+    ASSERT_EQ(explorer.degradedWorkloads().size(), 1u);
     const PerfMatrix &table5 = explorer.crossMatrix();
-    const size_t bad = table5.index(explorer.crossMissingRows()[0]);
+    const size_t bad = table5.index(explorer.degradedWorkloads()[0]);
     const size_t good = 1 - bad;
     SuiteCheckpoint last;
     ASSERT_TRUE(
@@ -866,6 +874,214 @@ TEST(SupervisedExplorer, QuarantinedFinalRowKeepsItsIncumbent)
     EXPECT_EQ(explorer.supervisorReport().quarantined.size(), 1u);
     EXPECT_TRUE(std::filesystem::is_empty(ckpt));
     std::filesystem::remove_all(ckpt);
+}
+
+namespace
+{
+
+/** A seed at which gzip, the first row of round 0's adoption, adopts
+ *  mcf's incumbent in a clean miniOpts() run. */
+constexpr uint64_t kAdoptSeed = 12;
+
+/** What one supervised, checkpointed exploration of miniSuite() at
+ *  kAdoptSeed left behind. */
+struct FaultedRun
+{
+    std::vector<WorkloadResult> results;
+    std::vector<std::string> degraded;
+    SupervisorReport report;
+    CsvManifest identity;
+    std::string barrier;  ///< round 0's barrier (suite.ckpt)
+    std::string gzipWalk; ///< gzip.ckpt, read at that barrier
+    uint64_t barrierVisits = 0; ///< sim.run visits up to that barrier
+    uint64_t fired = 0;
+    bool cleanedUp = false; ///< the checkpoint directory ended empty
+};
+
+FaultedRun
+exploreWithFaults(const std::string &faults, int maxAttempts)
+{
+    const std::string ckpt = freshDir("adopt_faults");
+    ExplorerOptions opts = miniOpts(kAdoptSeed);
+    opts.supervised = true;
+    opts.supervisorOpts = fastSupervisor();
+    opts.supervisorOpts.maxAttempts = maxAttempts;
+    opts.checkpointEvery = 4;
+    opts.checkpointDir = ckpt;
+    FaultedRun run;
+    opts.checkpointWrittenHook = [&](const std::string &path) {
+        if (path != ckpt + "/suite.ckpt" || !run.barrier.empty())
+            return;
+        readFile(path, run.barrier);
+        readFile(ckpt + "/gzip.ckpt", run.gzipWalk);
+        run.barrierVisits = fault::hitCount("sim.run");
+    };
+    fault::armSchedule(faults);
+    Explorer explorer(miniSuite(), opts);
+    run.results = explorer.exploreAll();
+    run.fired = fault::firedCount();
+    fault::armSchedule("");
+    run.degraded = explorer.degradedWorkloads();
+    run.report = explorer.supervisorReport();
+    run.identity = explorer.identity();
+    run.cleanedUp = std::filesystem::is_empty(ckpt);
+    std::filesystem::remove_all(ckpt);
+    return run;
+}
+
+} // namespace
+
+TEST(SupervisedExplorer, QuarantinedAdoptionRowKeepsItsIncumbent)
+{
+    // Between-round adoption rows run as forked jobs too. In a clean
+    // run gzip adopts mcf's incumbent after round 0. Here its row
+    // fails its only attempt: gzip keeps the incumbent its round
+    // ended on, the run completes and names it degraded, no NaN cell
+    // is memoized or counted, and the checkpoints still go.
+    const FaultedRun clean = exploreWithFaults("", 1);
+    SuiteCheckpoint adopted;
+    ASSERT_TRUE(
+        parseSuiteCheckpoint(clean.barrier, clean.identity, adopted));
+    ASSERT_EQ(adopted.workloads[0].adoptions, 1u)
+        << "seed makes gzip adopt nothing";
+
+    // The first cell.publish is gzip's adoption row's result frame.
+    const FaultedRun run = exploreWithFaults("cell.publish:crash:1", 1);
+    EXPECT_EQ(run.fired, 1u);
+    EXPECT_EQ(run.degraded, std::vector<std::string>{"gzip"});
+    ASSERT_EQ(run.report.quarantined.size(), 1u);
+    EXPECT_EQ(run.report.quarantined[0].name, "matrix.gzip");
+    SuiteCheckpoint barrier;
+    WorkloadCheckpoint walk;
+    ASSERT_TRUE(parseSuiteCheckpoint(run.barrier, run.identity, barrier));
+    ASSERT_TRUE(
+        parseWorkloadCheckpoint(run.gzipWalk, run.identity, walk));
+    EXPECT_EQ(walk.round, 0);
+    EXPECT_TRUE(
+        barrier.workloads[0].current.sameArch(walk.anneal.result.best));
+    EXPECT_EQ(barrier.workloads[0].adoptions, 0u);
+    for (const SuiteWorkloadState &ws : barrier.workloads) {
+        // The scalar walk memoizes every simulation it counts.
+        EXPECT_EQ(ws.evals, ws.memo.size());
+        for (const auto &[key, ipt] : ws.memo)
+            EXPECT_FALSE(std::isnan(ipt)) << key;
+    }
+    for (const WorkloadResult &r : run.results)
+        EXPECT_FALSE(std::isnan(r.bestIpt)) << r.workload;
+    EXPECT_TRUE(run.cleanedUp);
+}
+
+TEST(SupervisedExplorer, CrashInAdoptionCellIsRetriedInvisibly)
+{
+    // Every simulation of a supervised exploration runs in a forked
+    // worker, adoption cells included. A schedule that never fires
+    // counts the sim.run visits up to round 0's barrier; the last is
+    // the last adoption cell. A crash there costs its row one retry
+    // and changes no result.
+    const FaultedRun counted =
+        exploreWithFaults("sim.run:crash:1000000000", 3);
+    ASSERT_GT(counted.barrierVisits, 0u);
+    const FaultedRun run = exploreWithFaults(
+        "sim.run:crash:" + std::to_string(counted.barrierVisits), 3);
+    EXPECT_EQ(run.fired, 1u);
+    expectResultsIdentical(run.results, counted.results);
+    EXPECT_EQ(run.barrier, counted.barrier);
+    EXPECT_TRUE(run.degraded.empty());
+    EXPECT_TRUE(run.report.quarantined.empty());
+    EXPECT_EQ(run.report.crashes, 1u);
+    EXPECT_EQ(run.report.retries, 1u);
+    // The retried job is an adoption row: a matrix job that ran
+    // before round 1's tasks.
+    const auto &jobs = run.report.jobs;
+    size_t retried = jobs.size(), round1 = jobs.size();
+    for (size_t j = 0; j < jobs.size(); ++j) {
+        if (jobs[j].attempts.size() > 1)
+            retried = j;
+        if (round1 == jobs.size() && jobs[j].name.ends_with(".round1"))
+            round1 = j;
+    }
+    ASSERT_LT(retried, round1);
+    EXPECT_TRUE(jobs[retried].name.starts_with("matrix."))
+        << jobs[retried].name;
+    EXPECT_TRUE(run.cleanedUp);
+}
+
+// --- a degraded result is never cached ------------------------------------
+
+namespace
+{
+
+/** Run the Table 4 harness over `dir` at a small budget, with the
+ *  `extraEnv` assignments on top; `<step>.txt` gets its stdout and
+ *  `<step>.json` its metrics. Returns the shell's status. */
+int
+runTable4(const std::string &dir, const std::string &step,
+          const std::string &extraEnv)
+{
+    const std::string cmd =
+        "env XPS_EVAL_INSTRS=3000 XPS_SA_ITERS=24 XPS_FINAL_INSTRS=6000 "
+        "XPS_THREADS=2 XPS_BATCH=1 XPS_SURROGATE=0 "
+        "XPS_REDUCE_WORKLOADS=0 XPS_SUPERVISE=0 XPS_FAULTS= "
+        "XPS_RESULTS_DIR=" + dir + " XPS_METRICS_JSON=" + dir + "/" +
+        step + ".json " + extraEnv + " " XPS_TABLE4_BIN " > " + dir +
+        "/" + step + ".txt 2> " + dir + "/" + step + ".log";
+    return std::system(cmd.c_str());
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::string content;
+    EXPECT_TRUE(readFile(path, content)) << path;
+    return content;
+}
+
+/** Counter `name` of a metrics dump; 0 when absent. */
+double
+counterOf(const std::string &metricsPath, const std::string &name)
+{
+    obs::json::Value doc;
+    EXPECT_TRUE(obs::json::parse(slurp(metricsPath), doc)) << metricsPath;
+    const obs::json::Value *counters = doc.find("counters");
+    return counters ? counters->numberOr(name, 0.0) : 0.0;
+}
+
+} // namespace
+
+TEST(DegradedExploration, IsNeverCached)
+{
+    // With no retries, the sixth worker start crashes: round 0's
+    // eleven jobs come first, so it is mcf.round0, which is
+    // quarantined. Neither table of that run may be stored, so a
+    // clean rerun over the same directory explores again and ends
+    // with exactly what a fresh clean run prints and caches. Each
+    // step is its own process: experimentContext() is computed once
+    // per process.
+    const std::string degraded = freshDir("degraded");
+    const std::string fresh = freshDir("degraded_fresh");
+    ASSERT_EQ(runTable4(degraded, "faulted",
+                        "XPS_SUPERVISE=1 XPS_JOB_RETRIES=0 "
+                        "XPS_FAULTS=worker.start:crash:6"),
+              0);
+    obs::json::Value report;
+    ASSERT_TRUE(obs::json::parse(
+        slurp(degraded + "/supervisor_report.json"), report));
+    const obs::json::Value *quarantined = report.find("quarantined");
+    ASSERT_TRUE(quarantined && quarantined->items.size() == 1);
+    EXPECT_EQ(quarantined->items[0].stringOr("job", ""), "mcf.round0");
+    EXPECT_FALSE(fileExists(degraded + "/table4_configs.csv"));
+    EXPECT_FALSE(fileExists(degraded + "/table5_matrix.csv"));
+
+    ASSERT_EQ(runTable4(degraded, "rerun", ""), 0);
+    EXPECT_EQ(counterOf(degraded + "/rerun.json", "cache.table4_hits"), 0);
+    EXPECT_EQ(counterOf(degraded + "/rerun.json", "cache.table4_misses"),
+              1);
+    ASSERT_EQ(runTable4(fresh, "clean", ""), 0);
+    EXPECT_EQ(slurp(degraded + "/rerun.txt"), slurp(fresh + "/clean.txt"));
+    for (const char *table : {"/table4_configs.csv", "/table5_matrix.csv"})
+        EXPECT_EQ(slurp(degraded + table), slurp(fresh + table)) << table;
+    std::filesystem::remove_all(degraded);
+    std::filesystem::remove_all(fresh);
 }
 
 // --- supervised matrix -----------------------------------------------------
