@@ -197,8 +197,11 @@ computeContext()
         // so a rerun explores again (a completed exploration leaves no
         // checkpoints) or, after a Table 4 hit, builds Table 5 again
         // from its partial file and fills the missing rows.
-        warn("%zu workloads degraded by quarantined tasks; not caching",
-             degraded.size());
+        std::string names;
+        for (const std::string &name : degraded)
+            names += (names.empty() ? "" : ", ") + name;
+        warn("%zu workloads degraded by quarantined tasks (%s); not "
+             "caching", degraded.size(), names.c_str());
         return ctx;
     }
     storeTable5Cache(ctx.suite, ctx.configs, ctx.matrix);

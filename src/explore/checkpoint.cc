@@ -173,11 +173,15 @@ class LineReader
     const std::vector<std::string> *
     expectVariadic(const char *tag)
     {
-        if (atEnd() || lines_[pos_].empty() ||
-            lines_[pos_][0] != tag) {
-            return nullptr;
-        }
-        return &lines_[pos_++];
+        return nextIs(tag) ? &lines_[pos_++] : nullptr;
+    }
+
+    /** Whether the next line's first token equals `tag`. */
+    bool
+    nextIs(const char *tag) const
+    {
+        return !atEnd() && !lines_[pos_].empty() &&
+               lines_[pos_][0] == tag;
     }
 
   private:
@@ -407,6 +411,8 @@ serializeSuiteCheckpoint(const SuiteCheckpoint &ckpt,
         out << "adoptions " << w.adoptions << '\n';
         emitMemo(out, w.memo);
         emitSurrogate(out, w.surrogate);
+        if (w.degraded)
+            out << "degraded " << (w.frozen ? 1 : 0) << '\n';
     }
     out << "end\n";
     return out.str();
@@ -443,6 +449,13 @@ parseSuiteCheckpoint(const std::string &content,
         if (!parseMemo(reader, w.memo) ||
             !parseSurrogate(reader, w.surrogate)) {
             return false;
+        }
+        if (reader.nextIs("degraded")) { // absent on a clean workload
+            l = reader.expect("degraded", 1);
+            if (!l || ((*l)[1] != "0" && (*l)[1] != "1"))
+                return false;
+            w.degraded = true;
+            w.frozen = (*l)[1] == "1";
         }
         ckpt.workloads.push_back(std::move(w));
     }

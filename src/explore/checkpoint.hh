@@ -81,6 +81,12 @@ struct SuiteWorkloadState
     std::vector<std::pair<std::string, double>> memo;
     /** Serialized surrogate model state; empty when absent. */
     std::string surrogate;
+    /** The workload lost a task to quarantine (Explorer::
+     *  degradedWorkloads()); `frozen` when it was a round task, so it
+     *  anneals no more. Written only when set, so a clean checkpoint's
+     *  bytes do not change. */
+    bool degraded = false;
+    bool frozen = false;
 };
 
 /** The round-barrier state of the whole suite. */

@@ -477,8 +477,12 @@ Explorer::exploreAll()
     // suite barrier checkpoint like the memo.
     std::vector<std::string> surrogate(n);
     // Workloads that lost a round task, an adoption row or a final
-    // row to quarantine: degradedWorkloads().
+    // row to quarantine: degradedWorkloads(). Those that lost a round
+    // task are also frozen: their configuration stays at the last
+    // completed round and the suite degrades gracefully instead of
+    // aborting. The suite checkpoint carries both.
     std::vector<bool> degraded(n, false);
+    std::vector<bool> frozen(n, false);
 
     // XPS_REDUCE_WORKLOADS=K: anneal only the K cluster
     // representatives of the suite's workload characteristics;
@@ -534,6 +538,8 @@ Explorer::exploreAll()
                     memo[w].insert(sc.workloads[w].memo.begin(),
                                    sc.workloads[w].memo.end());
                     surrogate[w] = sc.workloads[w].surrogate;
+                    degraded[w] = sc.workloads[w].degraded;
+                    frozen[w] = sc.workloads[w].frozen;
                 }
                 start_round = sc.round;
                 metrics.counter("checkpoint.suite_resumes").add();
@@ -560,6 +566,8 @@ Explorer::exploreAll()
             sc.workloads[w].adoptions = adoptions[w];
             sc.workloads[w].memo = memoToVector(memo[w]);
             sc.workloads[w].surrogate = surrogate[w];
+            sc.workloads[w].degraded = degraded[w];
+            sc.workloads[w].frozen = frozen[w];
         }
         atomicWriteFile(suiteCheckpointPath(),
                         serializeSuiteCheckpoint(sc, identity));
@@ -591,10 +599,6 @@ Explorer::exploreAll()
         for (const size_t w : annealing)
             traces[w] = sharedTrace(suite_[w], 0, 2 * opts_.evalInstrs);
         ScopedTimer timer("explore.anneal_seconds");
-        // Workloads whose annealing task was quarantined: their
-        // configuration is frozen at the last completed round and the
-        // suite degrades gracefully instead of aborting.
-        std::vector<bool> frozen(n, false);
 
         auto snapshotState = [&](size_t w) {
             SuiteWorkloadState in;

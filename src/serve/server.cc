@@ -30,6 +30,7 @@
 #include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/shutdown.hh"
+#include "workload/trace.hh"
 
 namespace xps
 {
@@ -78,8 +79,15 @@ runWhatif(const Request &req)
     doc.header = {"workload", "ipt"};
     SimOptions sim;
     sim.measureInstrs = req.instrs;
+    // Replay the shared trace file, which some earlier job most likely
+    // published already. A trace too long for the file tier would be
+    // private to this one job, so such a whatif streams instead.
+    const bool replay =
+        sim.traceOps() + kTraceSlackOps <= kTraceFileMaxOps;
     for (const WorkloadProfile &p : req.workloads) {
         ProcPool::beat();
+        if (replay)
+            sim.trace = sharedTrace(p, sim.streamId, sim.traceOps());
         const SimStats stats = simulate(p, req.configs[0], sim);
         doc.rows.push_back({p.name, fmtDouble(stats.ipt())});
     }
@@ -190,10 +198,14 @@ Server::Server(ServerOptions opts)
     // A client that disconnects mid-response must cost an EPIPE
     // errno, not the daemon's life.
     ::signal(SIGPIPE, SIG_IGN);
+    // Every job worker inherits this: the first to need a trace
+    // publishes it under the state directory, and the rest map it.
+    setTraceDirectory(opts_.stateDir + "/traces");
 }
 
 Server::~Server()
 {
+    setTraceDirectory("");
     for (const Connection &c : conns_)
         ::close(c.fd);
     if (listenFd_ >= 0) {
@@ -307,6 +319,9 @@ Server::boot()
 void
 Server::recoverJournal()
 {
+    // A trace file is rarely written twice, so a later write of it
+    // would seldom sweep its dead writer's temp: sweep them here.
+    sweepStaleTemps(opts_.stateDir + "/traces", "");
     uint64_t resumed = 0;
     for (const JournalRecord &rec : journal_.recover()) {
         Request req;

@@ -19,7 +19,6 @@ BatchSimulator::BatchSimulator(
 {
     if (!trace_)
         fatal("BatchSimulator: null trace buffer");
-    decoded_ = decodedTrace(trace_);
 }
 
 BatchSimulator::~BatchSimulator() = default;
@@ -131,11 +130,10 @@ BatchSimulator::runBatch(const std::vector<CoreConfig> &configs,
             const GeometryKey key = geometryKey(cfg);
             const auto wit = warmMemo_.find(key);
             if (wit != warmMemo_.end()) {
-                core[l]->beginTraceRun(trace_, decoded_, measure,
-                                       warmup, &wit->second);
+                core[l]->beginTraceRun(trace_, measure, warmup,
+                                       &wit->second);
             } else {
-                core[l]->beginTraceRun(trace_, decoded_, measure,
-                                       warmup);
+                core[l]->beginTraceRun(trace_, measure, warmup);
                 warmMemo_.emplace(key, core[l]->hierarchy());
             }
         }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Config-batched evaluation over a shared immutable trace
- * (DESIGN.md §11). A BatchSimulator holds one trace plus its decoded
- * sidecar and evaluates N candidate configurations in a single pass:
+ * (DESIGN.md §11). A BatchSimulator holds one decoded trace and
+ * evaluates N candidate configurations in a single pass:
  * every lane is an independent OooCore, and between cuts each live
  * lane runs straight to the next commit target, one after another.
  * (Interleaving the lanes in short commit slices, to keep the replayed
@@ -12,8 +12,8 @@
  * none of them changes a single simulated bit:
  *
  *   decode    : the per-op meta byte and branch-prediction outcome are
- *               computed once per trace (DecodedTrace) and read by all
- *               lanes.
+ *               computed once per trace (TraceBuffer::meta()) and read
+ *               by all lanes.
  *   warmup    : functional cache warmup depends only on the cache
  *               *geometry* (sets / assoc / line), not on latencies or
  *               core parameters, so lanes sharing a geometry adopt one
@@ -49,7 +49,6 @@ namespace xps
 {
 
 class TraceBuffer;
-class DecodedTrace;
 
 /** Window geometry of a batched run (mirrors SimOptions). */
 struct BatchOptions
@@ -130,7 +129,6 @@ class BatchSimulator
                            const std::vector<ScreenCut> &cuts);
 
     std::shared_ptr<const TraceBuffer> trace_;
-    std::shared_ptr<const DecodedTrace> decoded_;
     BatchOptions opts_;
 
     /** Full-fidelity stats by configFingerprint (exact arch

@@ -689,14 +689,11 @@ OooCore::run(SyntheticWorkload &workload, uint64_t measure,
 
 void
 OooCore::beginTraceRun(std::shared_ptr<const TraceBuffer> trace,
-                       std::shared_ptr<const DecodedTrace> decoded,
                        uint64_t measure, uint64_t warmup,
                        const MemoryHierarchy *warm_state)
 {
     srcBuf_ = std::move(trace);
-    srcDecoded_ = decoded ? std::move(decoded)
-                          : decodedTrace(srcBuf_);
-    src_ = DecodedSource{srcBuf_->ops().data(), srcDecoded_->meta(),
+    src_ = DecodedSource{srcBuf_->ops().data(), srcBuf_->meta(),
                          srcBuf_->size(), 0};
     // Fetch runs ahead of commit, so a run consumes up to a full ROB
     // and fetch buffer past its commit target: reject a trace that
@@ -755,7 +752,7 @@ SimStats
 OooCore::run(std::shared_ptr<const TraceBuffer> trace,
              uint64_t measure, uint64_t warmup)
 {
-    beginTraceRun(std::move(trace), nullptr, measure, warmup);
+    beginTraceRun(std::move(trace), measure, warmup);
     advance(measure);
     return finish();
 }

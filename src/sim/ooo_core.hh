@@ -45,7 +45,7 @@
  * per-op classification switches collapse to a one-byte decoded meta
  * (see decodeMicroOp); in trace replay the meta — including the
  * branch-prediction outcome — is precomputed once per trace
- * (DecodedTrace) and shared by every evaluation.
+ * (TraceBuffer::meta()) and shared by every evaluation.
  *
  * Memory-dependence stalls (a load behind an unexecuted same-word
  * store) are handled with per-store waiter lists and retry events at
@@ -84,7 +84,6 @@ namespace xps
 {
 
 class TraceBuffer;
-class DecodedTrace;
 class InvariantChecker;
 
 namespace testhooks
@@ -131,18 +130,15 @@ class OooCore
     /**
      * Reset and warm the machine for a trace-replay run; fatal if the
      * trace holds fewer than warmup + measure + inFlightCapacity()
-     * ops. `decoded` may be null (looked up / built via
-     * decodedTrace()). When
-     * `warm_state` is non-null it must be a hierarchy of identical
-     * geometry holding the post-warmup cache state for this exact
-     * (trace, warmup) window; it is adopted by copy and the warmup
-     * pass is skipped — bit-identical, since functional warmup
+     * ops. When `warm_state` is non-null it must be a hierarchy of
+     * identical geometry holding the post-warmup cache state for this
+     * exact (trace, warmup) window; it is adopted by copy and the
+     * warmup pass is skipped — bit-identical, since functional warmup
      * touches nothing but the hierarchy in trace mode (predictions
      * are precomputed). Follow with advance() until it returns true,
      * then finish().
      */
     void beginTraceRun(std::shared_ptr<const TraceBuffer> trace,
-                       std::shared_ptr<const DecodedTrace> decoded,
                        uint64_t measure, uint64_t warmup,
                        const MemoryHierarchy *warm_state = nullptr);
 
@@ -465,11 +461,10 @@ class OooCore
     uint64_t commitTarget_ = 0; ///< stop committing exactly here
     uint64_t cycleGuard_ = 0;
 
-    /** Replay source state for the resumable API (keepalives pin the
-     *  buffer and decoded sidecar across advance() calls). */
+    /** Replay source state for the resumable API (the keepalive pins
+     *  the buffer across advance() calls). */
     DecodedSource src_;
     std::shared_ptr<const TraceBuffer> srcBuf_;
-    std::shared_ptr<const DecodedTrace> srcDecoded_;
 
     /** Latest in-flight store per 8-byte-aligned address. */
     StoreMap storeBySeq_;

@@ -35,6 +35,7 @@ const Site kSites[] = {
     {"serve.journal", true},     // daemon job-journal record write
     {"serve.publish", true},     // serve worker's result-store publish
     {"serve.respond", false},    // daemon, before the response write
+    {"serve.trace", true},       // serve worker's trace-file publish
 };
 constexpr size_t kNumSites = sizeof(kSites) / sizeof(kSites[0]);
 constexpr size_t kMaxArms = 16;

@@ -37,6 +37,8 @@ const char *opClassName(OpClass cls);
  * *dynamic distances*: srcDist[i] = d means the i-th source operand is
  * produced by the instruction d positions earlier in the dynamic
  * stream (d >= 1); 0 means the operand is already available.
+ * Trace files store this layout as it is in memory: a changed field
+ * must also change the trace-file encoder and kTraceFileVersion.
  */
 struct MicroOp
 {
@@ -74,7 +76,7 @@ struct MicroOp
  * handful of questions about every op it touches — class, memory-ness,
  * does-it-end-the-fetch-group — and in trace replay asks them once per
  * op per *configuration evaluation*. Folding the answers into one byte
- * (decoded once per op, or once per trace via DecodedTrace) turns the
+ * (decoded once per op, or once per trace in TraceBuffer) turns the
  * per-op classification switches into single-byte tests.
  *
  * Bit layout:
@@ -83,7 +85,7 @@ struct MicroOp
  *   4    store
  *   5    taken control op (ends the fetch group)
  *   6    conditional branch
- *   7    mispredicted (predictor outcome; only DecodedTrace or the
+ *   7    mispredicted (predictor outcome; only trace decoding or the
  *        streaming fetch stage set this)
  */
 constexpr uint8_t kMetaClsMask = 0x07;

@@ -5,11 +5,11 @@
  * it — several RNG draws, a Zipf inversion and a geometric draw per
  * op — for every one of the thousands of configuration evaluations the
  * annealer performs per workload. A TraceBuffer materializes the
- * stream once into a flat, cache-friendly vector that is then shared
- * read-only (via shared_ptr) across every simulation of that workload:
- * annealing iterations, the cross-configuration matrix, and the
- * surrogate/subsetting experiments all replay the same buffer from
- * any number of threads concurrently.
+ * stream once, with its decoded meta, into flat, cache-friendly
+ * arrays that are then shared read-only (via shared_ptr) across every
+ * simulation of that workload: annealing iterations, the
+ * cross-configuration matrix, and the surrogate/subsetting experiments
+ * all replay the same buffer from any number of threads concurrently.
  *
  * Sharing rules (DESIGN.md §6):
  *  - a TraceBuffer is immutable after construction; concurrent readers
@@ -21,7 +21,12 @@
  *    longer run asks for more ops (existing handles stay valid — the
  *    registry swaps in a longer buffer instead of mutating);
  *  - replay is bit-identical to streaming generation: the buffer is
- *    filled by the same SyntheticWorkload the fallback path would run.
+ *    filled by the same SyntheticWorkload the fallback path would run,
+ *    and its meta by the same predictor the streaming core consults;
+ *  - with a trace directory set (only xps-serve sets one), the
+ *    registry is backed by content-addressed, digest-checked trace
+ *    files that every forked job maps read-only instead of generating
+ *    the stream again (DESIGN.md §6, §13).
  */
 
 #ifndef XPS_WORKLOAD_TRACE_HH
@@ -29,6 +34,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,25 +51,51 @@ namespace xps
  */
 constexpr uint64_t kTraceSlackOps = 8192;
 
+/** Longest trace the file tier shares: 2^18 ops, about 10.7 MB at
+ *  41 B per op. Longer traces stay in memory only. */
+constexpr uint64_t kTraceFileMaxOps = uint64_t{1} << 18;
+
+/** Trace file format version. Bump it whenever generation, decoding
+ *  or the MicroOp layout changes: a file of another version is
+ *  rejected and regenerated. */
+constexpr uint32_t kTraceFileVersion = 1;
+
 /** Order-insensitive 64-bit digest of every profile parameter; two
  *  profiles with equal fingerprints generate identical streams. */
 uint64_t profileFingerprint(const WorkloadProfile &profile);
 
-/** An immutable, pre-generated micro-op stream for one workload. */
+/**
+ * An immutable, pre-generated micro-op stream for one workload, with
+ * one decoded meta byte per op (decodeMicroOp plus the branch
+ * predictor's outcome). The tournament predictor's state is a pure
+ * function of the branch-op subsequence from position 0 — independent
+ * of core configuration and of where the warmup/measure split falls —
+ * so every prediction the core would make during replay is made once
+ * per trace and shared by every configuration evaluation (and every
+ * lane of a batched run). The arrays are either the buffer's own or a
+ * read-only mapping of a trace file that the buffer keeps alive.
+ */
 class TraceBuffer
 {
   public:
-    /** Generate `ops` micro-ops of (profile, stream_id) eagerly. */
+    /** Generate and decode `ops` micro-ops of (profile, stream_id)
+     *  eagerly. */
     TraceBuffer(const WorkloadProfile &profile, uint64_t stream_id,
                 uint64_t ops);
 
-    /** Wrap an already-generated stream (the registry's grow path).
-     *  `ops` must be the profile's stream from position 0. */
+    /** Adopt a generated stream from position 0 and its decoded meta
+     *  (the registry's paths); `storage` keeps `ops` and `meta`
+     *  alive. */
     TraceBuffer(const WorkloadProfile &profile, uint64_t stream_id,
-                std::vector<MicroOp> ops);
+                std::shared_ptr<const void> storage, const MicroOp *ops,
+                const uint8_t *meta, uint64_t size);
 
-    const std::vector<MicroOp> &ops() const { return ops_; }
-    uint64_t size() const { return ops_.size(); }
+    TraceBuffer(const TraceBuffer &) = delete;
+    TraceBuffer &operator=(const TraceBuffer &) = delete;
+
+    std::span<const MicroOp> ops() const { return {ops_, size_}; }
+    const uint8_t *meta() const { return meta_; }
+    uint64_t size() const { return size_; }
     const std::string &profileName() const { return profileName_; }
     uint64_t fingerprint() const { return fingerprint_; }
     uint64_t streamId() const { return streamId_; }
@@ -79,7 +111,10 @@ class TraceBuffer
     std::string profileName_;
     uint64_t fingerprint_;
     uint64_t streamId_;
-    std::vector<MicroOp> ops_;
+    std::shared_ptr<const void> storage_;
+    const MicroOp *ops_;
+    const uint8_t *meta_;
+    uint64_t size_;
 };
 
 /**
@@ -118,6 +153,13 @@ class TraceCursor
  * with at least `min_ops` + kTraceSlackOps micro-ops, generating or
  * growing it on first need; subsequent calls share the same buffer.
  * Thread-safe; the returned buffer is safe to read concurrently.
+ *
+ * With a trace directory set and at most kTraceFileMaxOps wanted, a
+ * miss maps `<dir>/<fingerprint>.<stream>.trace` when it holds enough
+ * ops and passes every check (trace_store.hits), and otherwise
+ * generates the stream from op 0 and publishes it there by atomic
+ * rename (trace_store.writes), replacing a rejected or shorter file
+ * (trace_store.rejects counts the rejected).
  */
 std::shared_ptr<const TraceBuffer>
 sharedTrace(const WorkloadProfile &profile, uint64_t stream_id,
@@ -128,36 +170,18 @@ sharedTrace(const WorkloadProfile &profile, uint64_t stream_id,
 void clearTraceRegistry();
 
 /**
- * Per-op decoded metadata sidecar for a TraceBuffer: one meta byte per
- * micro-op (see decodeMicroOp), including the *precomputed branch
- * prediction outcome*. The tournament predictor's state is a pure
- * function of the branch-op subsequence from position 0 — independent
- * of core configuration and of where the warmup/measure split falls —
- * so every prediction the core would make during replay can be made
- * once per trace and shared read-only by every configuration
- * evaluation (and every lane of a batched run). Immutable after
- * construction; concurrent readers need no synchronization.
+ * Back sharedTrace() with trace files under `dir` (created on first
+ * write), or with none when `dir` is empty (the default). Process-
+ * wide: xps-serve sets it once, before its pool forks, so every job
+ * inherits it; nothing else does. Not thread-safe against concurrent
+ * sharedTrace() calls.
  */
-class DecodedTrace
-{
-  public:
-    explicit DecodedTrace(const TraceBuffer &buffer);
+void setTraceDirectory(const std::string &dir);
 
-    const uint8_t *meta() const { return meta_.data(); }
-    uint64_t size() const { return meta_.size(); }
-
-  private:
-    std::vector<uint8_t> meta_;
-};
-
-/**
- * Memoized decode of a shared trace buffer: one DecodedTrace per live
- * TraceBuffer, built on first need. Thread-safe; the result is safe to
- * read concurrently and keeps itself valid independently of the
- * registry (callers hold shared_ptr).
- */
-std::shared_ptr<const DecodedTrace>
-decodedTrace(const std::shared_ptr<const TraceBuffer> &buffer);
+/** The trace file of (profile, stream_id) under the trace directory;
+ *  empty when none is set. */
+std::string traceFilePath(const WorkloadProfile &profile,
+                          uint64_t stream_id);
 
 } // namespace xps
 

@@ -237,6 +237,36 @@ TEST(CheckpointFormat, SuiteRoundTrip)
     }
 }
 
+TEST(CheckpointFormat, SuiteDegradedLineIsOptionalAndRoundTrips)
+{
+    // A clean suite checkpoint carries no degraded line, so its bytes
+    // are what they were before degradation was recorded.
+    const std::string clean = serializeSuiteCheckpoint(
+        sampleSuiteCheckpoint(), testIdentity());
+    EXPECT_EQ(clean.find("degraded"), std::string::npos);
+
+    SuiteCheckpoint ckpt = sampleSuiteCheckpoint();
+    ckpt.workloads[0].degraded = true; // lost an adoption row
+    ckpt.workloads[2].degraded = true; // lost a round task
+    ckpt.workloads[2].frozen = true;
+    const std::string text = serializeSuiteCheckpoint(ckpt, testIdentity());
+    SuiteCheckpoint back;
+    ASSERT_TRUE(parseSuiteCheckpoint(text, testIdentity(), back));
+    ASSERT_EQ(back.workloads.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(back.workloads[i].degraded, ckpt.workloads[i].degraded);
+        EXPECT_EQ(back.workloads[i].frozen, ckpt.workloads[i].frozen);
+    }
+    EXPECT_EQ(serializeSuiteCheckpoint(back, testIdentity()), text);
+
+    for (const char *line : {"degraded", "degraded 2", "degraded 1 1",
+                             "degraded yes"}) {
+        EXPECT_FALSE(parseSuiteCheckpoint(
+            replaceLine(text, "degraded", line), testIdentity(), back))
+            << line;
+    }
+}
+
 TEST(CheckpointFormat, RejectsSuiteCheckpointWithIptLines)
 {
     // An older suite checkpoint carried each workload's incumbent

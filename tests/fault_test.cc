@@ -66,7 +66,8 @@ TEST(FaultCatalogue, RegistersTheSupervisedPipelineSites)
     EXPECT_TRUE(catalogueHas("serve.journal", true));
     EXPECT_TRUE(catalogueHas("serve.publish", true));
     EXPECT_TRUE(catalogueHas("serve.respond", false));
-    EXPECT_GE(fault::sites().size(), 9u);
+    EXPECT_TRUE(catalogueHas("serve.trace", true));
+    EXPECT_GE(fault::sites().size(), 10u);
 }
 
 // --- grammar ---------------------------------------------------------------

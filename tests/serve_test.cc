@@ -55,9 +55,11 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "sim/simulator.hh"
 #include "util/fault.hh"
 #include "util/metrics.hh"
 #include "util/shutdown.hh"
+#include "workload/trace.hh"
 
 #include "scoped_env.hh"
 
@@ -1228,6 +1230,122 @@ TEST(ServeStore, TornWorkerPublishIsRejectedThenRecomputed)
     fs::remove_all(dir);
 }
 
+// --- trace files: generated once per state directory ----------------------
+
+namespace
+{
+
+/** The *.trace files under a daemon's state directory, and whether
+ *  any staging temp is left beside them. */
+size_t
+traceFiles(const std::string &dir, bool *temps = nullptr)
+{
+    size_t n = 0;
+    std::error_code ec;
+    for (const auto &e : fs::directory_iterator(dir + "/traces", ec)) {
+        const std::string name = e.path().filename().string();
+        if (name.find(".tmp.") != std::string::npos) {
+            if (temps)
+                *temps = true;
+        } else if (name.ends_with(".trace")) {
+            ++n;
+        }
+    }
+    return n;
+}
+
+} // namespace
+
+// The first whatif publishes one trace file per workload; a daemon
+// restarted on the same state directory answers a fresh whatif by
+// mapping those files, without generating a trace.
+TEST(ServeTraces, RestartedDaemonReplaysTheExistingFiles)
+{
+    const std::string dir = shortTempDir();
+    {
+        Daemon d(dir);
+        d.flags = {"--workers", "1"};
+        d.start();
+        ASSERT_EQ(statusOf(rpc(d.sock, kWhatifReq, 120.0)), "ok");
+        d.stopGracefully();
+    }
+    bool temps = false;
+    EXPECT_EQ(traceFiles(dir, &temps), 2u); // gzip and mcf
+    EXPECT_FALSE(temps);
+
+    const std::string trace = dir + "/trace.json";
+    Daemon d(dir);
+    d.flags = {"--workers", "1"};
+    d.env = {{"XPS_TRACE_JSON", trace}};
+    d.start();
+    // Another configuration: a store miss that simulates both rows.
+    const std::string fresh = rpc(
+        d.sock,
+        "{\"op\":\"whatif\",\"id\":\"f\",\"workloads\":[\"gzip\","
+        "\"mcf\"],\"instrs\":3000,\"config\":{\"sched_depth\":2,"
+        "\"width\":2}}",
+        120.0);
+    ASSERT_EQ(statusOf(fresh), "ok") << fresh;
+    EXPECT_NE(fresh.find("\"cache\":\"miss\""), std::string::npos);
+    const std::string live = rpc(d.sock, "{\"op\":\"metrics\"}");
+    obs::json::Value v;
+    ASSERT_TRUE(obs::json::parse(live, v)) << live;
+    EXPECT_GE(counterIn(v, "trace_store.hits"), 1.0) << live;
+    EXPECT_LE(counterIn(v, "trace_store.writes"), 0.0) << live;
+    EXPECT_LE(counterIn(v, "trace_cache.misses"), 0.0) << live;
+    d.stopGracefully();
+
+    std::ifstream in(trace);
+    const std::string content((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    obs::json::Value root;
+    ASSERT_TRUE(obs::json::parse(content, root)) << trace;
+    const obs::json::Value *events = root.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    size_t loads = 0;
+    for (const auto &ev : events->items) {
+        EXPECT_NE(ev.stringOr("name", ""), "trace.generate");
+        loads += ev.stringOr("name", "") == "trace.load";
+    }
+    EXPECT_GE(loads, 1u);
+    EXPECT_EQ(traceFiles(dir), 2u);
+    fs::remove_all(dir);
+}
+
+// A whatif whose trace exceeds the file tier's cap streams, as before
+// trace files: it writes none and answers what simulate() computes.
+TEST(ServeTraces, WhatifAboveTheCapStreamsAndWritesNoFile)
+{
+    const char *req =
+        "{\"op\":\"whatif\",\"id\":\"big\",\"workloads\":[\"gzip\"],"
+        "\"instrs\":130000,\"config\":{\"sched_depth\":2,"
+        "\"width\":4}}";
+    serve::Request r;
+    std::string error;
+    ASSERT_TRUE(serve::parseRequest(req, r, error)) << error;
+    SimOptions sim;
+    sim.measureInstrs = r.instrs;
+    ASSERT_GT(sim.traceOps() + kTraceSlackOps, kTraceFileMaxOps);
+    char ipt[40];
+    std::snprintf(ipt, sizeof(ipt), "%.17g",
+                  simulate(r.workloads[0], r.configs[0], sim).ipt());
+    CsvDoc doc;
+    doc.header = {"workload", "ipt"};
+    doc.rows = {{"gzip", ipt}};
+
+    const std::string dir = shortTempDir();
+    Daemon d(dir);
+    d.flags = {"--workers", "1"};
+    d.start();
+    const std::string resp = rpc(d.sock, req, 120.0);
+    ASSERT_EQ(statusOf(resp), "ok") << resp;
+    EXPECT_EQ(resultsOf(resp),
+              resultsOf(serve::okResponse("big", doc, false, false)));
+    d.stopGracefully();
+    EXPECT_FALSE(fs::exists(dir + "/traces"));
+    fs::remove_all(dir);
+}
+
 // --- the serve fault matrix ------------------------------------------------
 
 namespace
@@ -1321,7 +1439,11 @@ INSTANTIATE_TEST_SUITE_P(
                     ServeFaultCase{"serve.publish", "shortwrite"},
                     ServeFaultCase{"serve.publish", "enospc"},
                     ServeFaultCase{"serve.respond", "crash"},
-                    ServeFaultCase{"serve.respond", "hang"}),
+                    ServeFaultCase{"serve.respond", "hang"},
+                    ServeFaultCase{"serve.trace", "crash"},
+                    ServeFaultCase{"serve.trace", "hang"},
+                    ServeFaultCase{"serve.trace", "shortwrite"},
+                    ServeFaultCase{"serve.trace", "enospc"}),
     [](const testing::TestParamInfo<ServeFaultCase> &info) {
         std::string name = std::string(info.param.site) + "_" +
                            info.param.kind;

@@ -36,6 +36,9 @@
 #include "util/metrics.hh"
 #include "util/procpool.hh"
 #include "util/rng.hh"
+#include "workload/profile.hh"
+
+#include "scoped_env.hh"
 
 using namespace xps;
 
@@ -1082,6 +1085,83 @@ TEST(DegradedExploration, IsNeverCached)
         EXPECT_EQ(slurp(degraded + table), slurp(fresh + table)) << table;
     std::filesystem::remove_all(degraded);
     std::filesystem::remove_all(fresh);
+}
+
+namespace
+{
+
+/** Death-test body: the faulted run of ResumeKeepsItsDegradedWorkloads
+ *  in this process, under Table 4's identity so that the harness
+ *  resumes its checkpoints (`dir`/checkpoints), killed right after
+ *  round 0's barrier. */
+[[noreturn]] void
+exploreTable4AndKill(const std::string &dir)
+{
+    // runTable4()'s walk knobs, which the Explorer reads.
+    test::ScopedEnv batch("XPS_BATCH", "1");
+    test::ScopedEnv surrogate("XPS_SURROGATE", "0");
+    test::ScopedEnv reduce("XPS_REDUCE_WORKLOADS", "0");
+    ExplorerOptions opts;
+    opts.evalInstrs = 3000;
+    opts.saIters = 24;
+    opts.finalEvalInstrs = 6000;
+    opts.threads = 2;
+    opts.checkpointEvery = 8;
+    opts.checkpointDir = dir + "/checkpoints";
+    opts.supervised = true;
+    opts.supervisorOpts.maxAttempts = 1;
+    opts.checkpointWrittenHook = [barrier = opts.checkpointDir +
+                                            "/suite.ckpt"](
+                                     const std::string &path) {
+        if (path == barrier)
+            ::_exit(42);
+    };
+    fault::armSchedule("worker.start:crash:6");
+    Explorer(spec2000int(), opts).exploreAll();
+    ::_exit(0); // unreachable
+}
+
+} // namespace
+
+TEST(DegradedExploration, ResumeKeepsItsDegradedWorkloads)
+{
+    // IsNeverCached's faulted run, checkpointing every 8 iterations,
+    // killed right after round 0's barrier and resumed by a clean run
+    // over the same directory. mcf.round0 was quarantined, so the
+    // resume must keep mcf frozen and degraded: it ends with what the
+    // uninterrupted faulted run prints, names mcf, and caches neither
+    // table. Each run is its own process.
+    const std::string whole = freshDir("degraded_whole");
+    const std::string killed = freshDir("degraded_killed");
+    ASSERT_EQ(runTable4(whole, "faulted",
+                        "XPS_CHECKPOINT_EVERY=8 XPS_SUPERVISE=1 "
+                        "XPS_JOB_RETRIES=0 "
+                        "XPS_FAULTS=worker.start:crash:6"),
+              0);
+    EXPECT_EXIT(exploreTable4AndKill(killed),
+                testing::ExitedWithCode(42), "");
+    EXPECT_NE(slurp(killed + "/checkpoints/suite.ckpt")
+                  .find("\ndegraded 1\n"),
+              std::string::npos);
+
+    ASSERT_EQ(runTable4(killed, "resumed", "XPS_CHECKPOINT_EVERY=8"), 0);
+    EXPECT_EQ(counterOf(killed + "/resumed.json",
+                        "checkpoint.suite_resumes"),
+              1);
+    EXPECT_EQ(slurp(killed + "/resumed.txt"), slurp(whole + "/faulted.txt"));
+    for (const std::string &dir : {whole, killed}) {
+        EXPECT_FALSE(fileExists(dir + "/table4_configs.csv")) << dir;
+        EXPECT_FALSE(fileExists(dir + "/table5_matrix.csv")) << dir;
+    }
+    const std::string degraded =
+        "1 workloads degraded by quarantined tasks (mcf)";
+    EXPECT_NE(slurp(whole + "/faulted.log").find(degraded),
+              std::string::npos);
+    EXPECT_NE(slurp(killed + "/resumed.log").find(degraded),
+              std::string::npos)
+        << slurp(killed + "/resumed.log");
+    std::filesystem::remove_all(whole);
+    std::filesystem::remove_all(killed);
 }
 
 // --- supervised matrix -----------------------------------------------------

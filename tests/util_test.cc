@@ -205,6 +205,28 @@ TEST(Rng, StatelessHashesArePinned)
     EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafULL);
     uint64_t state = 42;
     EXPECT_EQ(mix64(42), splitmix64(state));
+
+    // digest64 checks stored trace files: a change to it stales every
+    // file, so its values are pinned too. The lengths cover the empty
+    // input, a byte tail, one word, one four-lane block, all three
+    // tails together, and several blocks.
+    std::string bytes;
+    for (int i = 0; i < 100; ++i)
+        bytes.push_back(static_cast<char>(i * 7 + 1));
+    const std::pair<size_t, uint64_t> pinned[] = {
+        {0, 0x53748300ccd72d2bULL},   {3, 0x9d62090e19dbea26ULL},
+        {8, 0xe281b9feb5af6f3cULL},   {32, 0xadb9ffede03c0a74ULL},
+        {45, 0x66e4bf69e59036d8ULL},  {100, 0xcaeb0cbdd402fb71ULL},
+    };
+    for (const auto &[n, want] : pinned)
+        EXPECT_EQ(digest64(bytes.data(), n), want) << n << " bytes";
+    for (size_t i = 0; i < bytes.size(); ++i) {
+        std::string flipped = bytes;
+        flipped[i] ^= 0x01;
+        EXPECT_NE(digest64(flipped.data(), flipped.size()),
+                  digest64(bytes.data(), bytes.size()))
+            << "byte " << i;
+    }
 }
 
 TEST(Stats, MeanBasics)
