@@ -79,15 +79,11 @@ runWhatif(const Request &req)
     doc.header = {"workload", "ipt"};
     SimOptions sim;
     sim.measureInstrs = req.instrs;
-    // Replay the shared trace file, which some earlier job most likely
-    // published already. A trace too long for the file tier would be
-    // private to this one job, so such a whatif streams instead.
-    const bool replay =
-        sim.traceOps() + kTraceSlackOps <= kTraceFileMaxOps;
     for (const WorkloadProfile &p : req.workloads) {
         ProcPool::beat();
-        if (replay)
-            sim.trace = sharedTrace(p, sim.streamId, sim.traceOps());
+        // Replay the trace file some earlier job most likely published
+        // already; a trace too long to share streams instead.
+        sim.trace = fileBackedTrace(p, sim.streamId, sim.traceOps());
         const SimStats stats = simulate(p, req.configs[0], sim);
         doc.rows.push_back({p.name, fmtDouble(stats.ipt())});
     }

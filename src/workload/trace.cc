@@ -483,13 +483,33 @@ sharedTrace(const WorkloadProfile &profile, uint64_t stream_id,
     const uint8_t *meta = owned->meta.data();
     entry.buf = std::make_shared<const TraceBuffer>(
         profile, stream_id, std::move(owned), ops, meta, want);
-    if (!path.empty()) {
-        // Two workers racing here write identical bytes; the last
-        // rename wins.
+    // Another worker may have published while this one generated:
+    // keep its file when it already serves this request, so a shorter
+    // trace never replaces a longer one. A race inside the write
+    // itself can still let the shorter file win; the next longer
+    // request then regenerates once.
+    std::shared_ptr<const Mapping> published;
+    TraceFileHeader header{};
+    if (!path.empty() &&
+        loadTraceFile(path, fingerprint, stream_id, want, published,
+                      header) != FileState::Hit) {
         atomicWriteFile(path, encodeTraceFile(*entry.buf), "serve.trace");
         metrics.counter("trace_store.writes").add();
     }
     return entry.buf;
+}
+
+std::shared_ptr<const TraceBuffer>
+fileBackedTrace(const WorkloadProfile &profile, uint64_t stream_id,
+                uint64_t min_ops)
+{
+    {
+        std::lock_guard<std::mutex> lock(registryMutex);
+        if (traceDirectory().empty() ||
+            min_ops + kTraceSlackOps > kTraceFileMaxOps)
+            return nullptr;
+    }
+    return sharedTrace(profile, stream_id, min_ops);
 }
 
 void
@@ -504,13 +524,6 @@ setTraceDirectory(const std::string &dir)
 {
     std::lock_guard<std::mutex> lock(registryMutex);
     traceDirectory() = dir;
-}
-
-std::string
-traceFilePath(const WorkloadProfile &profile, uint64_t stream_id)
-{
-    std::lock_guard<std::mutex> lock(registryMutex);
-    return filePathLocked(profileFingerprint(profile), stream_id);
 }
 
 } // namespace xps

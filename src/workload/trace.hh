@@ -159,11 +159,24 @@ class TraceCursor
  * ops and passes every check (trace_store.hits), and otherwise
  * generates the stream from op 0 and publishes it there by atomic
  * rename (trace_store.writes), replacing a rejected or shorter file
- * (trace_store.rejects counts the rejected).
+ * (trace_store.rejects counts the rejected) unless another job
+ * published a long enough one meanwhile.
  */
 std::shared_ptr<const TraceBuffer>
 sharedTrace(const WorkloadProfile &profile, uint64_t stream_id,
             uint64_t min_ops);
+
+/**
+ * sharedTrace()'s buffer when the trace directory shares it with other
+ * jobs (a directory is set and at most kTraceFileMaxOps are wanted);
+ * otherwise null, and the caller streams. A one-off run, such as a
+ * serve whatif, replays what some job published, but never holds a
+ * trace that only it would read: that costs 41 B per op of memory
+ * for the whole run, and more time than streaming.
+ */
+std::shared_ptr<const TraceBuffer>
+fileBackedTrace(const WorkloadProfile &profile, uint64_t stream_id,
+                uint64_t min_ops);
 
 /** Drop all memoized traces (tests / memory pressure). Outstanding
  *  shared_ptr handles remain valid. */
@@ -177,11 +190,6 @@ void clearTraceRegistry();
  * sharedTrace() calls.
  */
 void setTraceDirectory(const std::string &dir);
-
-/** The trace file of (profile, stream_id) under the trace directory;
- *  empty when none is set. */
-std::string traceFilePath(const WorkloadProfile &profile,
-                          uint64_t stream_id);
 
 } // namespace xps
 

@@ -1313,7 +1313,8 @@ TEST(ServeTraces, RestartedDaemonReplaysTheExistingFiles)
 }
 
 // A whatif whose trace exceeds the file tier's cap streams, as before
-// trace files: it writes none and answers what simulate() computes.
+// trace files: it generates no trace, writes no file and answers what
+// simulate() computes.
 TEST(ServeTraces, WhatifAboveTheCapStreamsAndWritesNoFile)
 {
     const char *req =
@@ -1336,11 +1337,17 @@ TEST(ServeTraces, WhatifAboveTheCapStreamsAndWritesNoFile)
     const std::string dir = shortTempDir();
     Daemon d(dir);
     d.flags = {"--workers", "1"};
+    d.env = {{"XPS_METRICS_JSON", dir + "/metrics.json"}};
     d.start();
     const std::string resp = rpc(d.sock, req, 120.0);
     ASSERT_EQ(statusOf(resp), "ok") << resp;
     EXPECT_EQ(resultsOf(resp),
               resultsOf(serve::okResponse("big", doc, false, false)));
+    const std::string live = rpc(d.sock, "{\"op\":\"metrics\"}");
+    obs::json::Value v;
+    ASSERT_TRUE(obs::json::parse(live, v)) << live;
+    EXPECT_GT(histIn(v, "sim.run", "count"), 0.0) << live;
+    EXPECT_LE(counterIn(v, "trace_cache.misses"), 0.0) << live;
     d.stopGracefully();
     EXPECT_FALSE(fs::exists(dir + "/traces"));
     fs::remove_all(dir);

@@ -6,7 +6,9 @@
  * generated one, ops and meta; a torn, mutated, stale or foreign file
  * is rejected, counted, regenerated and rewritten; a longer request
  * republishes a longer file that shorter requests share; nothing is
- * written above the cap or with no directory; and files cross fork.
+ * written above the cap or with no directory, where fileBackedTrace()
+ * gives no trace; files cross fork; and a file's bytes are pinned to
+ * kTraceFileVersion.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 
 #include "sim/simulator.hh"
 #include "util/metrics.hh"
+#include "util/rng.hh"
 #include "workload/profile.hh"
 #include "workload/trace.hh"
 
@@ -104,6 +107,18 @@ class TraceStore : public testing::Test
         fs::remove_all(dir_);
     }
 
+    /** gzip's stream-0 trace file: `<fingerprint:016x>.<stream>.trace`
+     *  under the trace directory. */
+    std::string
+    gzipFile() const
+    {
+        char name[64];
+        std::snprintf(name, sizeof(name), "/%016llx.0.trace",
+                      static_cast<unsigned long long>(
+                          profileFingerprint(profileByName("gzip"))));
+        return dir_ + name;
+    }
+
     /** Every file name under the trace directory. */
     std::vector<std::string>
     files() const
@@ -131,7 +146,7 @@ TEST_F(TraceStore, MappedTraceEqualsGeneratedOne)
     const uint64_t writes = counter("trace_store.writes");
     const auto generated = sharedTrace(gzip(), 0, 20000);
     EXPECT_EQ(counter("trace_store.writes"), writes + 1);
-    const std::string path = traceFilePath(gzip(), 0);
+    const std::string path = gzipFile();
     EXPECT_EQ(files(), std::vector<std::string>{
                            fs::path(path).filename().string()});
     EXPECT_EQ(fs::file_size(path),
@@ -152,6 +167,28 @@ TEST_F(TraceStore, MappedTraceEqualsGeneratedOne)
     expectSameMeta(*generated, fresh);
     // The registry then serves the mapped buffer itself.
     EXPECT_EQ(sharedTrace(gzip(), 0, 1000).get(), mapped.get());
+    EXPECT_EQ(fileBackedTrace(gzip(), 0, 1000).get(), mapped.get());
+}
+
+// Trace files outlive the daemon, so a change to generation, decoding
+// or the MicroOp layout must bump kTraceFileVersion, or a rebooted
+// daemon replays the old stream. This pin fails on any such change
+// until the version and the pin are bumped together.
+TEST_F(TraceStore, FileBodyIsPinnedToTheFormatVersion)
+{
+    EXPECT_EQ(kTraceFileVersion, 1u);
+    (void)sharedTrace(gzip(), 0, 2000);
+    const std::string file = slurp(gzipFile());
+    ASSERT_GT(file.size(), kHeaderBytes);
+    uint64_t count = 0;
+    uint64_t digest = 0;
+    std::memcpy(&count, file.data() + 32, sizeof(count));
+    std::memcpy(&digest, file.data() + 40, sizeof(digest));
+    EXPECT_EQ(count, 2000 + kTraceSlackOps);
+    EXPECT_EQ(digest64(file.data() + kHeaderBytes,
+                       file.size() - kHeaderBytes),
+              digest);
+    EXPECT_EQ(digest, 0xab86eacfa658e2dcULL);
 }
 
 TEST_F(TraceStore, FileReplayMatchesStreamingOnAllProfiles)
@@ -177,7 +214,7 @@ TEST_F(TraceStore, DamagedFilesAreRejectedRegeneratedAndRewritten)
 {
     const auto generated = sharedTrace(gzip(), 0, 2000);
     const uint64_t n = generated->size();
-    const std::string path = traceFilePath(gzip(), 0);
+    const std::string path = gzipFile();
     const std::string pristine = slurp(path);
     const size_t metaAt = kHeaderBytes + n * sizeof(MicroOp);
     ASSERT_EQ(pristine.size(), metaAt + n);
@@ -245,7 +282,7 @@ TEST_F(TraceStore, DamagedFilesAreRejectedRegeneratedAndRewritten)
 
 TEST_F(TraceStore, LongerRequestRepublishesAndShorterIsServedFromIt)
 {
-    const std::string path = traceFilePath(gzip(), 0);
+    const std::string path = gzipFile();
     const auto small = sharedTrace(gzip(), 0, 1000);
     clearTraceRegistry();
 
@@ -280,6 +317,12 @@ TEST_F(TraceStore, NothingIsWrittenAboveTheCap)
     fs::remove_all(dir_);
     clearTraceRegistry();
 
+    // A one-off run streams rather than hold a trace no file shares.
+    const uint64_t misses = counter("trace_cache.misses");
+    EXPECT_EQ(fileBackedTrace(gzip(), 0,
+                              kTraceFileMaxOps - kTraceSlackOps + 1),
+              nullptr);
+    EXPECT_EQ(counter("trace_cache.misses"), misses);
     const auto beyond = sharedTrace(gzip(), 0,
                                     kTraceFileMaxOps - kTraceSlackOps + 1);
     EXPECT_EQ(beyond->size(), kTraceFileMaxOps + 1);
@@ -290,7 +333,7 @@ TEST_F(TraceStore, NothingIsWrittenAboveTheCap)
 TEST_F(TraceStore, NoDirectoryTouchesNoFile)
 {
     setTraceDirectory("");
-    EXPECT_EQ(traceFilePath(gzip(), 0), "");
+    EXPECT_EQ(fileBackedTrace(gzip(), 0, 3000), nullptr);
     const uint64_t writes = counter("trace_store.writes");
     const uint64_t hits = counter("trace_store.hits");
     (void)sharedTrace(gzip(), 0, 3000);
@@ -350,8 +393,8 @@ TEST_F(TraceStore, RacingForkedWritersLeaveOneValidFile)
         ASSERT_EQ(::waitpid(child, &status, 0), child);
         EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
     }
-    EXPECT_EQ(files(), std::vector<std::string>{fs::path(
-                           traceFilePath(gzip(), 0)).filename().string()});
+    EXPECT_EQ(files(), std::vector<std::string>{
+                           fs::path(gzipFile()).filename().string()});
     const uint64_t hits = counter("trace_store.hits");
     const uint64_t rejects = counter("trace_store.rejects");
     const auto mapped = sharedTrace(gzip(), 0, 40000);
